@@ -111,7 +111,7 @@ const PhaseSample& VoteCollectionCampaign::generate() {
           std::size_t opt = pick.below(cfg_.options);
           const BallotLine& line = ballot.parts[part].lines[opt];
           targets_.push_back(
-              VoteTarget{ballot.serial, line.vote_code, line.receipt});
+              core::VoteTarget{ballot.serial, line.vote_code, line.receipt});
         }
         for (std::size_t i = 0; i < per_vc.size(); ++i) {
           if (!builders.empty()) {
@@ -160,7 +160,7 @@ VoteCollectionResult VoteCollectionCampaign::run_cell(
           std::make_shared<store::MemoryBallotSource>(mem_ballots_[i]);
     }
   }
-  std::vector<VoteTarget> targets =
+  std::vector<core::VoteTarget> targets =
       final_cell ? std::move(targets_) : targets_;
 
   vc::VcNode::Options opts;
@@ -228,8 +228,8 @@ VoteCollectionResult VoteCollectionCampaign::run_cell(
   // The voter <-> VC link stays LAN-like even in the WAN experiment: the
   // paper emulates WAN latency between the VC nodes themselves.
   NodeId gen_id = host->add_node(
-      std::make_unique<LoadGen>(std::move(targets), vc_ids, cfg.concurrency,
-                                cfg.seed ^ 0x1),
+      std::make_unique<core::ClosedLoopClient>(std::move(targets), vc_ids,
+                                               cfg.concurrency, cfg.seed ^ 0x1),
       "loadgen");
   if (sim && cfg.link.base_latency > 1000) {
     for (NodeId vc : vc_ids) {
@@ -242,7 +242,7 @@ VoteCollectionResult VoteCollectionCampaign::run_cell(
   // loop has drained every cast. The bench measures vote collection only,
   // so the tight probe interval keeps the sim from chasing far-future
   // election-end timers once the loop finishes.
-  auto& gen = dynamic_cast<LoadGen&>(host->process(gen_id));
+  auto& gen = dynamic_cast<core::ClosedLoopClient&>(host->process(gen_id));
   sim::RunOptions run_opts;
   run_opts.probe_interval = 16;
   // Scale the stuck-run budget with the cast count so paper-size sweeps

@@ -20,11 +20,6 @@
 
 namespace ddemos::bench {
 
-// The closed-loop load generator now lives in core (it backs the driver's
-// ClosedLoopWorkload); the benches keep their historical names.
-using VoteTarget = core::VoteTarget;
-using LoadGen = core::ClosedLoopClient;
-
 // Measured Schnorr costs on this machine, used as the modeled signature
 // charges in the simulator (see EXPERIMENTS.md, "Microbenchmarks").
 struct CalibratedCosts {

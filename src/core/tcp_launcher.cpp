@@ -24,6 +24,11 @@ using net::FrameKind;
 
 namespace {
 
+// Budget for the spawn/handshake phase and for reaping children.
+constexpr sim::Duration kLaunchTimeoutUs = 30'000'000;
+// How often a node process reports status over the control socket.
+constexpr sim::Duration kStatusIntervalUs = 20'000;
+
 // Control-plane opcodes (first payload byte of a kControl frame).
 enum CtrlOp : std::uint8_t {
   kCtrlHello = 1,   // child -> launcher: u32 process
@@ -303,7 +308,7 @@ void TcpLauncher::launch() {
   // Accept every child's control connection; the first frame identifies
   // which process index dialed in (children race, order is arbitrary).
   auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(opt_.launch_timeout_us);
+                  std::chrono::microseconds(kLaunchTimeoutUs);
   auto remaining_us = [&]() -> sim::Duration {
     auto left = std::chrono::duration_cast<std::chrono::microseconds>(
                     deadline - std::chrono::steady_clock::now())
@@ -505,7 +510,7 @@ void TcpLauncher::respawn_process(std::size_t process) {
     throw ProtocolError("TcpLauncher: respawn: " + what);
   };
   auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(opt_.launch_timeout_us);
+                  std::chrono::microseconds(kLaunchTimeoutUs);
   auto remaining_us = [&]() -> sim::Duration {
     auto left = std::chrono::duration_cast<std::chrono::microseconds>(
                     deadline - std::chrono::steady_clock::now())
@@ -578,7 +583,7 @@ void TcpLauncher::respawn_process(std::size_t process) {
 
 void TcpLauncher::reap_children() {
   auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(opt_.launch_timeout_us);
+                  std::chrono::microseconds(kLaunchTimeoutUs);
   for (auto& child : children_) {
     if (child->pid <= 0) continue;
     for (;;) {
@@ -617,7 +622,7 @@ std::vector<TcpProcessReport> TcpLauncher::stop_cluster() {
   // Children stop their nets, ship a REPORT and exit; the control readers
   // capture the report and observe EOF. Bounded wait, then force-reap.
   auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(opt_.launch_timeout_us);
+                  std::chrono::microseconds(kLaunchTimeoutUs);
   for (;;) {
     bool pending = false;
     for (auto& child : children_) {
@@ -970,11 +975,11 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
   std::uint64_t alloc_base = net::Buffer::payload_allocations();
   node_net.start();
 
-  // Status loop: report done-ness every ~20ms, stop on C_STOP (or on
-  // control EOF: the launcher died, so quit rather than linger).
+  // Status loop: report done-ness every kStatusIntervalUs, stop on C_STOP
+  // (or on control EOF: the launcher died, so quit rather than linger).
   bool launcher_alive = true;
   for (;;) {
-    if (wait_readable(ctrl, 20'000)) {
+    if (wait_readable(ctrl, kStatusIntervalUs)) {
       auto msg = read_ctrl(ctrl);
       if (!msg) {
         launcher_alive = false;

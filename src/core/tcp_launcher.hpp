@@ -100,10 +100,6 @@ class TcpLauncher {
     // (overridable via the DDEMOS_NODE_BIN environment variable).
     std::string node_binary;
     std::string host = "127.0.0.1";
-    // How often children report status over the control socket.
-    sim::Duration status_interval_us = 25'000;
-    // Budget for the spawn/handshake phase and for reaping children.
-    sim::Duration launch_timeout_us = 30'000'000;
     // Fault hook for the fault matrix: invoked once, fault_after_us after
     // go(), from a helper thread (kill_process, sever_connections, ...).
     std::function<void(TcpLauncher&)> fault;

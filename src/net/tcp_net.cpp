@@ -11,55 +11,26 @@
 
 namespace ddemos::net {
 
-class TcpNet::NodeContext final : public sim::Context {
- public:
-  NodeContext(TcpNet* net, NodeId id) : net_(net), id_(id) {}
+namespace {
 
-  void send(NodeId to, Buffer payload) override {
-    if (net_->process_of(to) == net_->cfg_.self_process) {
-      net_->deliver_local(to, id_, std::move(payload));
-    } else {
-      net_->send_remote(id_, to, std::move(payload));
-    }
-  }
+// Redial backoff window (doubles from min to max per failed dial).
+constexpr Duration kDialBackoffMinUs = 2'000;
+constexpr Duration kDialBackoffMaxUs = 500'000;
 
-  // Intra-node coordination never touches the network.
-  void send_self(Buffer payload) override {
-    net_->deliver_local(id_, id_, std::move(payload));
-  }
+}  // namespace
 
-  std::uint64_t set_timer(Duration after) override {
-    const Entry& e = net_->entries_.at(id_);
-    LocalNode& n = *net_->locals_.at(static_cast<std::size_t>(e.local));
-    after = sim::clamp_real_timer_delay(after);
-    // Timers fire on shard 0 (the control shard; see sim::Context).
-    Shard& s = *n.shards.front();
-    std::uint64_t token = n.next_token.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::scoped_lock lk(s.mu);
-      s.timers.push_back(Timer{std::chrono::steady_clock::now() +
-                                   std::chrono::microseconds(after),
-                               token});
-    }
-    s.cv.notify_all();
-    return token;
-  }
-
-  TimePoint now() const override {
-    return net_->cfg_.clock_offset_us +
-           std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - net_->epoch_)
-               .count();
-  }
-  NodeId self() const override { return id_; }
-  void charge(Duration) override {}  // real CPU time is real here
-
- private:
-  TcpNet* net_;
-  NodeId id_;
-};
-
-TcpNet::TcpNet(TcpConfig cfg) : cfg_(std::move(cfg)) {
+TcpNet::TcpNet(TcpConfig cfg)
+    : cfg_(std::move(cfg)),
+      local_("TcpNet", {[this](NodeId from, NodeId to, Buffer payload) {
+                          send_remote(from, to, std::move(payload));
+                        },
+                        // Accept before on_start: a peer that started
+                        // first may already be dialing, and its pre-start
+                        // traffic must queue in mailboxes.
+                        [this] {
+                          accept_thread_ =
+                              std::thread([this] { accept_loop(); });
+                        }}) {
   listen_fd_ = tcp_listen(cfg_.listen_host, cfg_.listen_port, &listen_port_);
 }
 
@@ -72,7 +43,7 @@ TcpNet::~TcpNet() {
 }
 
 void TcpNet::set_peers(std::vector<TcpPeer> peers) {
-  if (running_.load(std::memory_order_acquire)) {
+  if (local_.started()) {
     throw ProtocolError("TcpNet: set_peers after start");
   }
   peers_ = std::move(peers);
@@ -84,78 +55,22 @@ std::uint32_t TcpNet::process_of(NodeId id) const {
 }
 
 NodeId TcpNet::add_node(std::unique_ptr<Process> proc, std::string name) {
-  if (running_.load(std::memory_order_acquire)) {
-    throw ProtocolError("TcpNet: add_node after start");
+  // Remote placeholder unless the id maps here: the same build code path
+  // runs in every process, so ids/names stay aligned; only the locally
+  // hosted nodes are kept.
+  if (process_of(static_cast<NodeId>(local_.node_count())) !=
+      cfg_.self_process) {
+    proc.reset();
   }
-  NodeId id = static_cast<NodeId>(entries_.size());
-  if (process_of(id) != cfg_.self_process) {
-    // Remote placeholder: the same build code path runs in every process,
-    // so ids/names stay aligned; only the locally hosted nodes are kept.
-    entries_.push_back(Entry{std::move(name), -1});
-    return id;
-  }
-  auto node = std::make_unique<LocalNode>();
-  node->proc = std::move(proc);
-  node->sharded = dynamic_cast<sim::ShardedProcess*>(node->proc.get());
-  node->ctx = std::make_unique<NodeContext>(this, id);
-  node->proc->bind(node->ctx.get());
-  std::size_t shards =
-      node->sharded ? std::max<std::size_t>(node->sharded->shard_count(), 1)
-                    : 1;
-  node->shards.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    node->shards.push_back(std::make_unique<Shard>());
-  }
-  entries_.push_back(
-      Entry{std::move(name), static_cast<std::int32_t>(locals_.size())});
-  locals_.push_back(std::move(node));
-  return id;
+  return local_.add(std::move(proc), std::move(name));
 }
 
 NodeId TcpNet::add_remote(std::string name) {
-  if (running_.load(std::memory_order_acquire)) {
-    throw ProtocolError("TcpNet: add_remote after start");
-  }
-  NodeId id = static_cast<NodeId>(entries_.size());
-  if (process_of(id) == cfg_.self_process) {
+  if (process_of(static_cast<NodeId>(local_.node_count())) ==
+      cfg_.self_process) {
     throw ProtocolError("TcpNet: add_remote for a locally hosted id");
   }
-  entries_.push_back(Entry{std::move(name), -1});
-  return id;
-}
-
-bool TcpNet::is_local(NodeId id) const {
-  return id < entries_.size() && entries_[id].local >= 0;
-}
-
-Process& TcpNet::process(NodeId id) {
-  const Entry& e = entries_.at(id);
-  if (e.local < 0) {
-    throw ProtocolError("TcpNet: node '" + e.name +
-                        "' is hosted by another process");
-  }
-  return *locals_.at(static_cast<std::size_t>(e.local))->proc;
-}
-
-const std::string& TcpNet::node_name(NodeId id) const {
-  return entries_.at(id).name;
-}
-
-void TcpNet::deliver_local(NodeId to, NodeId from, Buffer payload) {
-  if (to >= entries_.size() || entries_[to].local < 0) return;  // drop
-  LocalNode& n = *locals_[static_cast<std::size_t>(entries_[to].local)];
-  std::size_t shard = 0;
-  if (n.sharded) {
-    shard = n.sharded->shard_of(from, payload);
-    if (shard >= n.shards.size()) shard = 0;
-  }
-  Shard& s = *n.shards[shard];
-  {
-    std::scoped_lock lk(s.mu);
-    s.inbox.push_back(Mail{from, std::move(payload)});
-    s.inbox_high_water = std::max(s.inbox_high_water, s.inbox.size());
-  }
-  s.cv.notify_all();
+  return local_.add(nullptr, std::move(name));
 }
 
 TcpNet::Connection& TcpNet::connection_to(std::uint32_t process) {
@@ -175,7 +90,9 @@ TcpNet::Connection& TcpNet::connection_to(std::uint32_t process) {
 }
 
 void TcpNet::send_remote(NodeId from, NodeId to, Buffer payload) {
-  Connection& conn = connection_to(process_of(to));
+  const std::uint32_t process = process_of(to);
+  if (process == cfg_.self_process) return;  // unregistered local id: drop
+  Connection& conn = connection_to(process);
   std::unique_lock lk(conn.mu);
   if (conn.queue.size() >= cfg_.send_queue_frames) {
     // Backpressure: block briefly for space, then drop. Context::send is
@@ -204,7 +121,7 @@ void TcpNet::send_remote(NodeId from, NodeId to, Buffer payload) {
 
 void TcpNet::writer_loop(Connection& conn) {
   const TcpPeer peer = peers_.at(conn.process);
-  Duration backoff = cfg_.dial_backoff_min_us;
+  Duration backoff = kDialBackoffMinUs;
   bool ever_connected = false;
   std::unique_lock lk(conn.mu);
   for (;;) {
@@ -230,18 +147,18 @@ void TcpNet::writer_loop(Connection& conn) {
       if (fd < 0) {
         // Exponential-backoff redial, sliced so stop() stays responsive.
         Duration slept = 0;
-        while (slept < backoff && !stop_.load(std::memory_order_acquire)) {
+        while (slept < backoff && !local_.stopping()) {
           Duration slice = std::min<Duration>(backoff - slept, 10'000);
           std::this_thread::sleep_for(std::chrono::microseconds(slice));
           slept += slice;
         }
-        backoff = std::min(backoff * 2, cfg_.dial_backoff_max_us);
+        backoff = std::min(backoff * 2, kDialBackoffMaxUs);
         lk.lock();
         continue;
       }
       if (ever_connected) reconnects_.fetch_add(1, std::memory_order_relaxed);
       ever_connected = true;
-      backoff = cfg_.dial_backoff_min_us;
+      backoff = kDialBackoffMinUs;
       lk.lock();
       if (conn.stop) {
         ::close(fd);
@@ -282,7 +199,7 @@ void TcpNet::writer_loop(Connection& conn) {
 }
 
 void TcpNet::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
+  while (!local_.stopping()) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     int ready = ::poll(&pfd, 1, 100);
     if (ready <= 0) continue;
@@ -363,95 +280,10 @@ void TcpNet::reader_loop(Inbound& in) {
       last = frame->first.seq;
     }
     frames_received_.fetch_add(1, std::memory_order_relaxed);
-    deliver_local(frame->first.to, frame->first.from,
-                  Buffer(std::move(frame->second)));
+    local_.deliver(frame->first.to, frame->first.from,
+                   Buffer(std::move(frame->second)));
   }
   close_in();
-}
-
-void TcpNet::start() {
-  if (running_.load(std::memory_order_acquire)) return;
-  running_.store(true, std::memory_order_release);
-  stop_.store(false, std::memory_order_release);
-  epoch_ = std::chrono::steady_clock::now();
-  started_once_ = true;
-  // Accept before on_start: a peer that started first may already be
-  // dialing, and its pre-start traffic must queue in mailboxes, not get
-  // connection-refused into a redial cycle.
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  // on_start on this thread, before any shard worker exists (identical to
-  // ThreadNet): a worker can never dispatch into an unstarted process.
-  // Reader threads may already enqueue mail — it just sits in mailboxes.
-  for (auto& node : locals_) node->proc->on_start();
-  for (auto& node : locals_) {
-    for (auto& shard : node->shards) {
-      shard->worker = std::thread(
-          [this, n = node.get(), s = shard.get()] { worker_loop(*n, *s); });
-    }
-  }
-}
-
-TimePoint TcpNet::now() const {
-  if (!started_once_) return cfg_.clock_offset_us;
-  return cfg_.clock_offset_us +
-         std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-             .count();
-}
-
-std::vector<std::size_t> TcpNet::shard_queue_high_water(NodeId id) const {
-  if (id >= entries_.size() || entries_[id].local < 0) return {};
-  const LocalNode& n = *locals_[static_cast<std::size_t>(entries_[id].local)];
-  std::vector<std::size_t> out;
-  out.reserve(n.shards.size());
-  for (auto& shard : n.shards) {
-    std::scoped_lock lk(shard->mu);
-    out.push_back(shard->inbox_high_water);
-  }
-  return out;
-}
-
-void TcpNet::notify_progress() {
-  if (progress_waiters_.load(std::memory_order_acquire) == 0) return;
-  std::unique_lock lk(progress_mu_, std::try_to_lock);
-  if (!lk.owns_lock()) return;
-  lk.unlock();
-  progress_cv_.notify_all();
-}
-
-bool TcpNet::run_to_quiescence(const std::function<bool()>& done,
-                               const sim::RunOptions& options) {
-  if (!done) {
-    throw ProtocolError(
-        "TcpNet::run_to_quiescence requires a completion predicate");
-  }
-  if (!running_.load(std::memory_order_acquire)) {
-    if (started_once_) {
-      throw ProtocolError("TcpNet: cannot run_to_quiescence after stop");
-    }
-    start();
-  }
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(options.wall_timeout_us);
-  struct WaiterGuard {
-    std::atomic<int>& count;
-    explicit WaiterGuard(std::atomic<int>& c) : count(c) {
-      count.fetch_add(1, std::memory_order_acq_rel);
-    }
-    ~WaiterGuard() { count.fetch_sub(1, std::memory_order_acq_rel); }
-  } guard(progress_waiters_);
-  std::unique_lock lk(progress_mu_);
-  for (;;) {
-    if (options.probe) options.probe();
-    if (done()) return true;
-    auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return done();
-    // Bounded wait: remote completion signals arrive over the control
-    // socket (notify_external), local ones from workers; neither is
-    // guaranteed to land after this waiter registered, so cap the sleep.
-    progress_cv_.wait_until(
-        lk, std::min(deadline, now + std::chrono::milliseconds(100)));
-  }
 }
 
 void TcpNet::sever_connections() {
@@ -471,20 +303,8 @@ void TcpNet::sever_connections() {
 }
 
 void TcpNet::stop() {
-  if (!running_.load(std::memory_order_acquire)) return;
-  stop_.store(true, std::memory_order_release);
   // 1. Shard workers: wake and join, so node state settles first.
-  for (auto& node : locals_) {
-    for (auto& shard : node->shards) {
-      std::scoped_lock lk(shard->mu);
-      shard->cv.notify_all();
-    }
-  }
-  for (auto& node : locals_) {
-    for (auto& shard : node->shards) {
-      if (shard->worker.joinable()) shard->worker.join();
-    }
-  }
+  if (!local_.stop()) return;
   // 2. Outbound writers: flag, shut the socket under the write, wake, join.
   {
     std::scoped_lock lk(conns_mu_);
@@ -501,7 +321,7 @@ void TcpNet::stop() {
       if (conn->writer.joinable()) conn->writer.join();
     }
   }
-  // 3. Accept loop (polls stop_ every 100ms), then inbound readers.
+  // 3. Accept loop (polls stopping() every 100ms), then inbound readers.
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::scoped_lock lk(inbound_mu_);
@@ -513,51 +333,6 @@ void TcpNet::stop() {
   // vector itself is only mutated by the (joined) accept thread.
   for (auto& in : inbound_) {
     if (in->reader.joinable()) in->reader.join();
-  }
-  running_.store(false, std::memory_order_release);
-}
-
-void TcpNet::worker_loop(LocalNode& node, Shard& shard) {
-  std::unique_lock lk(shard.mu);
-  while (!stop_.load(std::memory_order_acquire)) {
-    auto now = std::chrono::steady_clock::now();
-    std::vector<std::uint64_t> due;
-    for (auto it = shard.timers.begin(); it != shard.timers.end();) {
-      if (it->due <= now) {
-        due.push_back(it->token);
-        it = shard.timers.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (std::uint64_t token : due) {
-      lk.unlock();
-      node.proc->on_timer(token);
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      notify_progress();
-      lk.lock();
-    }
-    if (!shard.inbox.empty()) {
-      Mail m = std::move(shard.inbox.front());
-      shard.inbox.pop_front();
-      lk.unlock();
-      node.proc->on_message(m.from, m.payload);
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      notify_progress();
-      lk.lock();
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (shard.timers.empty()) {
-      shard.cv.wait_for(lk, std::chrono::milliseconds(50));
-    } else {
-      auto next = std::min_element(shard.timers.begin(), shard.timers.end(),
-                                   [](const Timer& a, const Timer& b) {
-                                     return a.due < b.due;
-                                   })
-                      ->due;
-      shard.cv.wait_until(lk, next);
-    }
   }
 }
 

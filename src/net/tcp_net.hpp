@@ -1,12 +1,12 @@
 // Multi-process socket transport: the third sim::RuntimeHost. A TcpNet
 // instance lives in one OS process of a cluster and hosts the subset of the
 // election's nodes assigned to that process; every other node is a remote
-// placeholder, and traffic to it rides TCP. The local half is ThreadNet's
-// machinery verbatim — one worker thread per shard per node, lock-protected
-// mailboxes of shared Buffer handles, real-clock timers through the shared
-// sim::clamp_real_timer_delay bound, the same progress-notify completion
-// wait — so shard-affine dispatch semantics are identical across all three
-// backends.
+// placeholder, and traffic to it rides TCP. The local half is the shared
+// net::LocalDispatch core that ThreadNet also runs on — one worker thread
+// per shard per node, lock-protected mailboxes of shared Buffer handles,
+// real-clock timers, the progress-notify completion wait — so shard-affine
+// dispatch semantics are identical across all three backends. TcpNet hands
+// that core the send path for ids it does not host.
 //
 // The remote half:
 //  * one Connection per destination process, created lazily at first send,
@@ -31,7 +31,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -42,15 +41,9 @@
 #include <thread>
 #include <vector>
 
-#include "net/buffer.hpp"
-#include "sim/runtime.hpp"
+#include "net/local_dispatch.hpp"
 
 namespace ddemos::net {
-
-using sim::Duration;
-using sim::NodeId;
-using sim::Process;
-using sim::TimePoint;
 
 struct TcpPeer {
   std::string host = "127.0.0.1";
@@ -75,17 +68,10 @@ struct TcpConfig {
   // incarnation tells receivers to reset their per-process dedup floor
   // instead of silently discarding every frame the newcomer sends.
   std::uint64_t incarnation = 1;
-  // Added to now(): a respawned process resumes the cluster's original
-  // time base (election-end timers are absolute offsets from start()), so
-  // the launcher passes the age of the election here.
-  Duration clock_offset_us = 0;
   // Send-side backpressure: per-connection queue bound and how long a
   // sender blocks for space before dropping the frame.
   std::size_t send_queue_frames = 4096;
   Duration send_block_us = 200'000;
-  // Redial backoff window (doubles from min to max per failed dial).
-  Duration dial_backoff_min_us = 2'000;
-  Duration dial_backoff_max_us = 500'000;
 };
 
 class TcpNet final : public sim::RuntimeHost {
@@ -112,44 +98,50 @@ class TcpNet final : public sim::RuntimeHost {
   // Registers a remote placeholder without constructing the node at all
   // (bench clusters skip building 10^6-ballot VC state client-side).
   NodeId add_remote(std::string name);
-  bool is_local(NodeId id) const override;
+  bool is_local(NodeId id) const override { return local_.is_local(id); }
 
   // Throws ProtocolError for a remote id (the node lives in another
   // process; callers must check is_local()).
-  Process& process(NodeId id) override;
-  const std::string& node_name(NodeId id) const override;
-  std::size_t node_count() const override { return entries_.size(); }
+  Process& process(NodeId id) override { return local_.process(id); }
+  const std::string& node_name(NodeId id) const override {
+    return local_.node_name(id);
+  }
+  std::size_t node_count() const override { return local_.node_count(); }
 
-  // on_start for local nodes on the caller's thread, then shard workers,
-  // the accept thread, and reader threads spawn.
-  void start() override;
+  // Starts accepting, then on_start for local nodes on the caller's
+  // thread, then shard workers. Throws ProtocolError after stop().
+  void start() override { local_.start(); }
   // Joins every worker/writer/reader thread and closes every socket.
   // Idempotent.
   void stop() override;
 
   // Wall-clock microseconds since start() (0 before the first start),
-  // plus the configured clock offset (crash-recovery respawn).
-  TimePoint now() const override;
-  // Late override of TcpConfig::clock_offset_us: a respawned node process
-  // learns the election's age from the GO body, after the node rebuild.
+  // plus the clock offset (crash-recovery respawn).
+  TimePoint now() const override { return local_.now(); }
+  // A respawned node process learns the election's age from the GO body,
+  // after the node rebuild, and resumes the cluster's time base from it.
   // Call before start().
   void set_clock_offset(Duration offset_us) {
-    cfg_.clock_offset_us = offset_us;
+    local_.set_clock_offset(offset_us);
   }
 
   using sim::RuntimeHost::run_to_quiescence;
   bool run_to_quiescence(const std::function<bool()>& done,
-                         const sim::RunOptions& options) override;
+                         const sim::RunOptions& options) override {
+    return local_.run_to_quiescence(done, options);
+  }
 
-  std::vector<std::size_t> shard_queue_high_water(NodeId id) const override;
+  std::vector<std::size_t> shard_queue_high_water(NodeId id) const override {
+    return local_.shard_queue_high_water(id);
+  }
 
   std::uint64_t events_dispatched() const override {
-    return dispatched_.load(std::memory_order_relaxed);
+    return local_.events_dispatched();
   }
 
   // Wakes a run_to_quiescence waiter whose predicate depends on state
   // outside the transport (launcher control-plane status updates).
-  void notify_external() { notify_progress(); }
+  void notify_external() { local_.notify_progress(); }
 
   // Fault injection: shuts down every established data socket (outbound
   // and inbound). Writers redial with backoff and resend the in-flight
@@ -179,35 +171,6 @@ class TcpNet final : public sim::RuntimeHost {
   }
 
  private:
-  class NodeContext;
-  struct Mail {
-    NodeId from;
-    Buffer payload;
-  };
-  struct Timer {
-    std::chrono::steady_clock::time_point due;
-    std::uint64_t token;
-  };
-  struct Shard {
-    std::thread worker;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Mail> inbox;
-    std::vector<Timer> timers;
-    std::size_t inbox_high_water = 0;  // guarded by mu
-  };
-  struct LocalNode {
-    std::unique_ptr<Process> proc;
-    sim::ShardedProcess* sharded = nullptr;
-    std::unique_ptr<NodeContext> ctx;
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::atomic<std::uint64_t> next_token{1};
-  };
-  // NodeId -> name + local slot (or remote placeholder).
-  struct Entry {
-    std::string name;
-    std::int32_t local = -1;  // index into locals_, -1 = remote
-  };
   struct OutFrame {
     NodeId from, to;
     std::uint64_t seq;
@@ -231,18 +194,13 @@ class TcpNet final : public sim::RuntimeHost {
   };
 
   std::uint32_t process_of(NodeId id) const;
-  void deliver_local(NodeId to, NodeId from, Buffer payload);
   void send_remote(NodeId from, NodeId to, Buffer payload);
   Connection& connection_to(std::uint32_t process);
   void writer_loop(Connection& conn);
   void accept_loop();
   void reader_loop(Inbound& in);
-  void worker_loop(LocalNode& node, Shard& shard);
-  void notify_progress();
 
   TcpConfig cfg_;
-  std::vector<Entry> entries_;
-  std::vector<std::unique_ptr<LocalNode>> locals_;
   std::vector<TcpPeer> peers_;
 
   int listen_fd_ = -1;
@@ -268,21 +226,14 @@ class TcpNet final : public sim::RuntimeHost {
   std::mutex last_seq_mu_;
   std::map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>> last_seq_;
 
-  std::chrono::steady_clock::time_point epoch_;
-  bool started_once_ = false;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<int> progress_waiters_{0};
-  std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> frames_sent_{0};
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> frames_dropped_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> duplicates_suppressed_{0};
-  std::mutex progress_mu_;
-  std::condition_variable progress_cv_;
 
-  friend class NodeContext;
+  // Declared last: its workers and hooks use everything above.
+  LocalDispatch local_;
 };
 
 }  // namespace ddemos::net

@@ -1,10 +1,12 @@
 // Runtime-neutral process model. Protocol code (VC nodes, BB nodes,
 // trustees, voters) is written as event-driven state machines against these
-// interfaces and can be hosted either by the deterministic discrete-event
-// simulator (sim/sim.hpp) or by the real multi-threaded transport
-// (net/thread_net.hpp). This mirrors the paper's asynchronous communications
-// stack: connection semantics are hidden, the upper layers are message
-// oriented.
+// interfaces and can be hosted by the deterministic discrete-event
+// simulator (sim/sim.hpp) or by one of the two real-clock hosts, which
+// share one local-dispatch core (net/local_dispatch.hpp): the in-process
+// multi-threaded transport (net/thread_net.hpp) and the multi-process
+// socket transport (net/tcp_net.hpp). This mirrors the paper's
+// asynchronous communications stack: connection semantics are hidden, the
+// upper layers are message oriented.
 //
 // Messages travel as net::Buffer handles: the payload is allocated once at
 // the sender (usually by Writer::take() via the implicit Bytes -> Buffer
@@ -55,7 +57,7 @@ class Context {
   virtual NodeId self() const = 0;
   // Account `cpu` microseconds of modeled processing cost to this node.
   // The simulator serializes a node's handlers behind this busy time (per
-  // shard for a ShardedProcess); the threaded runtime ignores it (real
+  // shard for a ShardedProcess); the real-clock hosts ignore it (real
   // CPU time is real there).
   virtual void charge(Duration cpu) = 0;
 };
@@ -78,16 +80,18 @@ class Process {
 };
 
 // A Process whose message handling is partitioned into independent shards.
-// Both runtimes give each shard its own serial execution context: the
+// Every runtime gives each shard its own serial execution context: the
 // simulator models one virtual processor per shard (per-shard busy time),
-// and ThreadNet runs one worker thread per shard with its own mailbox.
+// and the real-clock hosts run one worker thread per shard with its own
+// mailbox.
 // Shard-affine dispatch is the concurrency contract: two messages that map
 // to the same shard never run concurrently, messages on different shards
 // may — so a handler may freely mutate state owned by its shard and must
 // synchronize (or message) for anything else.
 //
 // Rules the runtimes rely on:
-//  * shard_of is called from *sender* threads on ThreadNet, before the
+//  * shard_of is called from *sender* threads on the real-clock hosts
+//    (and from TcpNet's socket reader threads), before the
 //    receiving handler runs: it must be thread-safe, must not block, must
 //    not touch mutable process state, and must not throw (return 0 for
 //    anything unroutable — shard 0 is the control shard).
@@ -113,27 +117,29 @@ constexpr Duration clamp_real_timer_delay(Duration after) {
   return after < kMaxRealTimerDelay ? after : kMaxRealTimerDelay;
 }
 
-// Options for RuntimeHost::run_to_quiescence. One struct serves both
-// backends; each consumes the knobs that apply to it.
+// Options for RuntimeHost::run_to_quiescence. One struct serves every
+// backend; each consumes the knobs that apply to it.
 struct RunOptions {
   // Simulator: maximum events processed before the run is declared stuck
   // (throws ProtocolError carrying the processed count and virtual time).
   std::size_t max_events = 50'000'000;
-  // ThreadNet: wall-clock cap on the completion wait.
+  // Real-clock hosts (ThreadNet, TcpNet): wall-clock cap on the
+  // completion wait.
   Duration wall_timeout_us = 60'000'000;
   // Progress hook for phase observation: the simulator invokes it every
-  // `probe_interval` events and at quiescence; ThreadNet invokes it each
-  // time a worker signals progress. Never part of the completion decision.
+  // `probe_interval` events and at quiescence; the real-clock hosts invoke
+  // it each time a worker signals progress. Never part of the completion
+  // decision.
   std::function<void()> probe;
   std::size_t probe_interval = 1024;
 };
 
-// Common node-hosting surface implemented by both runtimes
-// (sim::Simulation and net::ThreadNet). Election builders and tests are
-// written against this interface so the exact same protocol topology can be
-// hosted on either backend without parallel code paths; runtime-specific
-// concerns (link models, crash injection, virtual-time stepping) stay on
-// the concrete classes.
+// Common node-hosting surface implemented by every runtime
+// (sim::Simulation, net::ThreadNet, net::TcpNet). Election builders and
+// tests are written against this interface so the exact same protocol
+// topology can be hosted on any backend without parallel code paths;
+// runtime-specific concerns (link models, crash injection, virtual-time
+// stepping, sockets) stay on the concrete classes.
 class RuntimeHost {
  public:
   virtual ~RuntimeHost() = default;
@@ -141,22 +147,24 @@ class RuntimeHost {
   virtual Process& process(NodeId id) = 0;
   virtual const std::string& node_name(NodeId id) const = 0;
   virtual std::size_t node_count() const = 0;
-  // Delivers on_start to all nodes (and, for ThreadNet, spawns workers).
+  // Delivers on_start to all nodes (and, on the real-clock hosts, spawns
+  // workers; they refuse a start after stop()).
   virtual void start() = 0;
-  // Quiesces the backend: ThreadNet signals and joins its workers (safe to
-  // call repeatedly); the simulator needs no teardown.
+  // Quiesces the backend: the real-clock hosts signal and join their
+  // threads (safe to call repeatedly); the simulator needs no teardown.
   virtual void stop() {}
   // Current time: virtual microseconds on the simulator, wall-clock
-  // microseconds since start() on ThreadNet.
+  // microseconds since start() on the real-clock hosts.
   virtual TimePoint now() const = 0;
   // Completion wait, replacing both bare run_until_idle calls and
   // sleep-and-poll loops. Starts the backend if needed, then runs until
   // `done()` holds — the simulator additionally runs to natural quiescence
-  // (empty event queue) and accepts a null predicate; ThreadNet requires
-  // one and blocks on a condition variable that workers signal after every
-  // handler, re-evaluating `done` on each wakeup. Returns whether the
-  // completion condition was met within the budget (the simulator throws
-  // on event-budget exhaustion; ThreadNet returns false on timeout).
+  // (empty event queue) and accepts a null predicate; the real-clock hosts
+  // require one and block on a condition variable that workers signal
+  // after every handler, re-evaluating `done` on each wakeup. Returns
+  // whether the completion condition was met within the budget (the
+  // simulator throws on event-budget exhaustion; the real-clock hosts
+  // return false on timeout).
   virtual bool run_to_quiescence(const std::function<bool()>& done,
                                  const RunOptions& options) = 0;
   bool run_to_quiescence() { return run_to_quiescence(nullptr, RunOptions{}); }
@@ -168,14 +176,14 @@ class RuntimeHost {
   // files, most importantly — only where the node actually lives.
   virtual bool is_local(NodeId) const { return true; }
   // Per-shard inbox high-water marks observed for a node, where the
-  // backend has per-shard queues (ThreadNet). Backends without that
+  // backend has per-shard queues (the real-clock hosts). Backends without that
   // concept (the simulator's single global event queue) return empty.
   virtual std::vector<std::size_t> shard_queue_high_water(NodeId) const {
     return {};
   }
   // Cumulative handler invocations (messages + timers) dispatched over the
   // host's life: the simulator's virtual event count, or the total across
-  // all worker threads on ThreadNet. Drives the uniform events/sec
+  // all worker threads on the real-clock hosts. Drives the uniform events/sec
   // accounting in ElectionReport and bench::Instrumentation.
   virtual std::uint64_t events_dispatched() const { return 0; }
 };

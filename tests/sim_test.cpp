@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+
+#include "net/tcp_net.hpp"
 #include "net/thread_net.hpp"
 #include "sim/sim.hpp"
+#include "test_clock.hpp"
 #include "util/error.hpp"
 
 namespace ddemos::sim {
@@ -251,6 +256,153 @@ TEST(ThreadNet, TimersFire) {
   EXPECT_TRUE(net.run_to_quiescence([&] { return timer.fired.load(); }, opts));
   net.stop();
   EXPECT_TRUE(timer.fired);
+}
+
+// --- Host contract: ThreadNet and TcpNet share one local-dispatch core, so
+// both must honour the same shard, timer, counter and lifecycle rules. The
+// TcpNet instance is a single-process cluster: every node maps to process
+// 0 and there are no peers.
+
+template <typename Host>
+std::unique_ptr<Host> make_host();
+
+template <>
+std::unique_ptr<net::ThreadNet> make_host<net::ThreadNet>() {
+  return std::make_unique<net::ThreadNet>();
+}
+
+template <>
+std::unique_ptr<net::TcpNet> make_host<net::TcpNet>() {
+  net::TcpConfig cfg;
+  cfg.election_id = to_bytes("host-contract");
+  return std::make_unique<net::TcpNet>(std::move(cfg));
+}
+
+// Byte 0 of a payload names its shard. on_start queues kPerShard messages
+// on every shard; the first handler on kTimerShard arms a timer. Message
+// handlers record their shard's thread, and every handler (the timer
+// counts against shard 0) holds a per-shard occupancy counter while it
+// runs, so an overlap of two same-shard handlers is caught.
+class ShardProbe final : public ShardedProcess {
+ public:
+  static constexpr std::size_t kShards = 3;
+  static constexpr std::size_t kTimerShard = 2;
+  static constexpr int kPerShard = 20;
+
+  std::size_t shard_count() const override { return kShards; }
+  std::size_t shard_of(NodeId, const net::Buffer& payload) const override {
+    return payload.empty() ? 0 : payload[0];
+  }
+
+  void on_start() override {
+    for (int i = 0; i < kPerShard; ++i) {
+      for (std::uint8_t s = 0; s < kShards; ++s) {
+        ctx().send(ctx().self(), Bytes{s});
+      }
+    }
+  }
+  void on_message(NodeId, const net::Buffer& payload) override {
+    std::size_t shard = payload[0];
+    enter(shard);
+    shard_thread[shard] = std::this_thread::get_id();
+    if (shard == kTimerShard && !timer_armed_.exchange(true)) {
+      ctx().set_timer(1'000);
+    }
+    leave(shard);
+    messages.fetch_add(1, std::memory_order_release);
+  }
+  void on_timer(std::uint64_t) override {
+    enter(0);
+    timer_thread = std::this_thread::get_id();
+    leave(0);
+    timer_fired.store(true, std::memory_order_release);
+  }
+
+  bool done() const {
+    return messages.load(std::memory_order_acquire) ==
+               static_cast<int>(kShards) * kPerShard &&
+           timer_fired.load(std::memory_order_acquire);
+  }
+
+  // Written by each shard's own worker; read after stop().
+  std::array<std::thread::id, kShards> shard_thread{};
+  std::thread::id timer_thread{};
+  std::atomic<int> messages{0};
+  std::atomic<bool> timer_fired{false};
+  std::atomic<std::uint64_t> calls{0};
+  std::atomic<bool> overlap{false};
+
+ private:
+  void enter(std::size_t shard) {
+    if (occupancy_[shard].fetch_add(1) != 0) overlap.store(true);
+    calls.fetch_add(1, std::memory_order_relaxed);
+    // Widen the window in which a second same-shard handler would show.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  void leave(std::size_t shard) { occupancy_[shard].fetch_sub(1); }
+
+  std::array<std::atomic<int>, kShards> occupancy_{};
+  std::atomic<bool> timer_armed_{false};
+};
+
+template <typename Host>
+class RealClockHost : public ::testing::Test {
+ protected:
+  RealClockHost() : host(make_host<Host>()) {
+    host->add_node(std::make_unique<ShardProbe>(), "probe");
+    probe = &dynamic_cast<ShardProbe&>(host->process(0));
+  }
+
+  // Runs the probe to completion and stops the host.
+  void run() {
+    RunOptions opts;
+    opts.wall_timeout_us = test::scaled(10'000'000);
+    ASSERT_TRUE(host->run_to_quiescence([&] { return probe->done(); }, opts));
+    host->stop();
+  }
+
+  std::unique_ptr<Host> host;
+  ShardProbe* probe = nullptr;
+};
+
+using RealClockHosts = ::testing::Types<net::ThreadNet, net::TcpNet>;
+TYPED_TEST_SUITE(RealClockHost, RealClockHosts);
+
+TYPED_TEST(RealClockHost, TimerArmedOnAnyShardFiresOnShardZero) {
+  this->run();
+  const ShardProbe& p = *this->probe;
+  EXPECT_NE(p.shard_thread[0], p.shard_thread[ShardProbe::kTimerShard]);
+  EXPECT_EQ(p.timer_thread, p.shard_thread[0]);
+}
+
+TYPED_TEST(RealClockHost, SameShardHandlersNeverOverlap) {
+  this->run();
+  EXPECT_FALSE(this->probe->overlap.load());
+}
+
+TYPED_TEST(RealClockHost, ShardHighWaterCoversEveryShard) {
+  this->run();
+  std::vector<std::size_t> hw = this->host->shard_queue_high_water(0);
+  ASSERT_EQ(hw.size(), this->probe->shard_count());
+  // Every message was queued by on_start, before any worker existed.
+  for (std::size_t depth : hw) {
+    EXPECT_EQ(depth, static_cast<std::size_t>(ShardProbe::kPerShard));
+  }
+}
+
+TYPED_TEST(RealClockHost, EventsDispatchedCountsHandlerCalls) {
+  this->run();
+  EXPECT_EQ(this->host->events_dispatched(), this->probe->calls.load());
+}
+
+TYPED_TEST(RealClockHost, StopIsIdempotentAndFinal) {
+  this->run();
+  this->host->stop();  // second stop: no-op
+  EXPECT_THROW(this->host->start(), ProtocolError);
+  RunOptions opts;
+  opts.wall_timeout_us = 1'000;
+  EXPECT_THROW(this->host->run_to_quiescence([] { return true; }, opts),
+               ProtocolError);
 }
 
 }  // namespace

@@ -105,7 +105,7 @@ TEST(Workload, AbstainSlotsExcludedFromExpectedTally) {
 
 TEST(Workload, ClosedLoopCompletesEveryCast) {
   // The closed-loop source drives the same full election through one
-  // multiplexing client (the absorbed bench LoadGen): every cast must
+  // multiplexing client (core::ClosedLoopClient): every cast must
   // complete, and the published tally must match the client's per-option
   // completion counts exactly.
   DriverConfig cfg;
