@@ -23,14 +23,8 @@ ElectionTopology build_protocol_nodes(sim::RuntimeHost& host,
   for (std::size_t i = 0; i < p.n_bb; ++i) {
     bb_ids[i] = static_cast<NodeId>(p.n_vc + i);
   }
-  // cfg.vc_shards is the driver-level sharding knob; a caller who instead
-  // set vc_options.n_shards directly (the knob VcNode itself documents)
-  // must not be silently reset to unsharded, so the explicit driver knob
-  // only wins when it was actually set.
   vc::VcNode::Options vc_options = cfg.vc_options;
-  vc_options.n_shards =
-      cfg.vc_shards > 1 ? cfg.vc_shards
-                        : std::max<std::size_t>(vc_options.n_shards, 1);
+  vc_options.n_shards = resolved_vc_shards(cfg.vc_shards, cfg.vc_options);
   // Durability: each locally hosted VC/BB node gets a WAL at
   // <wal_dir>/<node name>.wal, replayed (crash recovery) before the host
   // starts. Remote placeholders (multi-process clusters) get theirs from

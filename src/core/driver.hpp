@@ -9,6 +9,7 @@
 // crosses phase boundaries on either backend.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -42,6 +43,15 @@ struct DurabilityConfig {
   bool enabled() const { return !wal_dir.empty(); }
   store::WalOptions wal_options() const { return {fsync, fsync_interval}; }
 };
+
+// Worker shards per VC node. An explicit vc_shards > 1 wins; otherwise a
+// directly-set vc_options.n_shards applies, so a caller using the knob
+// VcNode itself documents is never silently reset to unsharded.
+inline std::size_t resolved_vc_shards(std::size_t vc_shards,
+                                      const vc::VcNode::Options& vc_options) {
+  return vc_shards > 1 ? vc_shards
+                       : std::max<std::size_t>(vc_options.n_shards, 1);
+}
 
 struct DriverConfig {
   ElectionParams params;

@@ -9,9 +9,11 @@
 #include <sys/prctl.h>
 #endif
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 
 #include "net/tcp_frame.hpp"
 #include "util/error.hpp"
@@ -32,10 +34,10 @@ constexpr sim::Duration kStatusIntervalUs = 20'000;
 // Control-plane opcodes (first payload byte of a kControl frame).
 enum CtrlOp : std::uint8_t {
   kCtrlHello = 1,   // child -> launcher: u32 process
-  kCtrlConfig = 2,  // launcher -> child: TcpClusterSpec, u32 process count
+  kCtrlConfig = 2,  // launcher -> child: TcpClusterSpec
   kCtrlReady = 3,   // child -> launcher: u16 data port
   kCtrlPeers = 4,   // launcher -> child: per-process (host, port) table
-  kCtrlGo = 5,      // launcher -> child: start the election clock
+  kCtrlGo = 5,      // launcher -> child: u64 launcher election clock
   kCtrlStatus = 6,  // child -> launcher: u8 all-hosted-nodes-done
   kCtrlStop = 7,    // launcher -> child: stop, report, exit
   kCtrlReport = 8,  // child -> launcher: TcpProcessReport
@@ -63,10 +65,57 @@ std::optional<std::pair<std::uint8_t, Bytes>> read_ctrl(int fd) {
   return std::make_pair(op, std::move(body));
 }
 
+// Blocks for one control frame and decodes its body; empty on EOF, on any
+// other opcode or on a malformed body.
+template <typename Decode>
+auto expect_ctrl(int fd, CtrlOp op, Decode decode)
+    -> std::optional<decltype(decode(std::declval<Reader&>()))> {
+  auto msg = read_ctrl(fd);
+  if (!msg || msg->first != op) return std::nullopt;
+  try {
+    Reader r(msg->second);
+    return decode(r);
+  } catch (const CodecError&) {
+    return std::nullopt;
+  }
+}
+
+// GO carries the launcher's election clock: 0 before its net starts, the
+// live clock on a respawn. Every child resumes that time base, so absolute
+// deadlines (t_end) mean the same thing in every process.
+bool send_go(int fd, sim::TimePoint now) {
+  Writer w;
+  w.u64(static_cast<std::uint64_t>(now));
+  return send_ctrl(fd, kCtrlGo, w.data());
+}
+
 bool wait_readable(int fd, sim::Duration timeout_us) {
   pollfd pfd{fd, POLLIN, 0};
   int ms = static_cast<int>(timeout_us / 1000);
   return ::poll(&pfd, 1, ms) > 0 && (pfd.revents & (POLLIN | POLLHUP));
+}
+
+// The NodeAccounting counters in wire order.
+constexpr std::uint64_t NodeAccounting::*kAccountingCounters[] = {
+    &NodeAccounting::events,      &NodeAccounting::allocations,
+    &NodeAccounting::rss_kb,      &NodeAccounting::peak_rss_kb,
+    &NodeAccounting::frames_sent, &NodeAccounting::frames_received,
+    &NodeAccounting::reconnects,  &NodeAccounting::frames_dropped};
+
+// Accounting for the OS process hosting `net`, allocations since
+// alloc_base.
+NodeAccounting sample_accounting(const net::TcpNet& net,
+                                 std::uint64_t alloc_base) {
+  return NodeAccounting{
+      .name = {},
+      .events = net.events_dispatched(),
+      .allocations = net::Buffer::payload_allocations() - alloc_base,
+      .rss_kb = util::current_rss_kb(),
+      .peak_rss_kb = util::peak_rss_kb(),
+      .frames_sent = net.frames_sent(),
+      .frames_received = net.frames_received(),
+      .reconnects = net.reconnects(),
+      .frames_dropped = net.frames_dropped()};
 }
 
 void encode_vc_stats(Writer& w, const vc::VcStats& s) {
@@ -111,6 +160,21 @@ vc::VcShardStats decode_shard_stats(Reader& r) {
 
 }  // namespace
 
+net::TcpConfig TcpClusterSpec::net_config(std::uint32_t self,
+                                          const std::string& host) const {
+  net::TcpConfig cfg;
+  cfg.self_process = self;
+  cfg.election_id = params.election_id;
+  cfg.listen_host = host;
+  // Fixed placement convention: process p hosts protocol node p-1; voters
+  // and load clients live with the launcher (process 0).
+  for (std::size_t id = 0; id < protocol_processes(); ++id) {
+    cfg.node_process.push_back(static_cast<std::uint32_t>(id + 1));
+  }
+  cfg.default_process = 0;
+  return cfg;
+}
+
 void TcpClusterSpec::encode(Writer& w) const {
   params.encode(w);
   w.u64(seed);
@@ -152,7 +216,11 @@ TcpClusterSpec TcpClusterSpec::decode(Reader& r) {
   s.vc_options.n_shards = static_cast<std::size_t>(r.varint());
   s.trustee_options.poll_interval_us = static_cast<sim::Duration>(r.u64());
   s.durability.wal_dir = r.str();
-  s.durability.fsync = static_cast<store::FsyncPolicy>(r.u8());
+  std::uint8_t fsync = r.u8();
+  if (fsync > static_cast<std::uint8_t>(store::FsyncPolicy::kAlways)) {
+    throw CodecError("TcpClusterSpec: unknown fsync policy");
+  }
+  s.durability.fsync = static_cast<store::FsyncPolicy>(fsync);
   s.durability.fsync_interval = static_cast<std::size_t>(r.varint());
   return s;
 }
@@ -160,7 +228,6 @@ TcpClusterSpec TcpClusterSpec::decode(Reader& r) {
 void TcpNodeReport::encode(Writer& w) const {
   w.u32(node_id);
   w.u8(kind);
-  w.boolean(done);
   encode_vc_stats(w, vc_stats);
   w.vec(vc_shard_stats,
         [](Writer& w2, const vc::VcShardStats& s) { encode_shard_stats(w2, s); });
@@ -176,7 +243,6 @@ TcpNodeReport TcpNodeReport::decode(Reader& r) {
   TcpNodeReport n;
   n.node_id = r.u32();
   n.kind = r.u8();
-  n.done = r.boolean();
   n.vc_stats = decode_vc_stats(r);
   n.vc_shard_stats = r.vec<vc::VcShardStats>(
       [](Reader& r2) { return decode_shard_stats(r2); });
@@ -191,28 +257,14 @@ TcpNodeReport TcpNodeReport::decode(Reader& r) {
 
 void TcpProcessReport::encode(Writer& w) const {
   w.u32(process);
-  w.u64(events);
-  w.u64(allocations);
-  w.u64(rss_kb);
-  w.u64(peak_rss_kb);
-  w.u64(frames_sent);
-  w.u64(frames_received);
-  w.u64(reconnects);
-  w.u64(frames_dropped);
+  for (auto counter : kAccountingCounters) w.u64(this->*counter);
   w.vec(nodes, [](Writer& w2, const TcpNodeReport& n) { n.encode(w2); });
 }
 
 TcpProcessReport TcpProcessReport::decode(Reader& r) {
   TcpProcessReport p;
   p.process = r.u32();
-  p.events = r.u64();
-  p.allocations = r.u64();
-  p.rss_kb = r.u64();
-  p.peak_rss_kb = r.u64();
-  p.frames_sent = r.u64();
-  p.frames_received = r.u64();
-  p.reconnects = r.u64();
-  p.frames_dropped = r.u64();
+  for (auto counter : kAccountingCounters) p.*counter = r.u64();
   p.nodes =
       r.vec<TcpNodeReport>([](Reader& r2) { return TcpNodeReport::decode(r2); });
   return p;
@@ -245,19 +297,13 @@ TcpClusterSpec TcpLauncher::spec_from(const DriverConfig& cfg) {
 
 TcpLauncher::TcpLauncher(TcpClusterSpec spec, Options opt)
     : spec_(std::move(spec)), opt_(std::move(opt)) {
-  const std::size_t n_proto = spec_.protocol_processes();
-  if (n_proto == 0) throw ProtocolError("TcpLauncher: empty cluster");
-  net::TcpConfig ncfg;
-  ncfg.self_process = 0;
-  ncfg.election_id = spec_.params.election_id;
-  ncfg.listen_host = opt_.host;
-  ncfg.node_process.resize(n_proto);
-  // Fixed placement convention: process p hosts protocol node p-1.
-  for (std::size_t id = 0; id < n_proto; ++id) {
-    ncfg.node_process[id] = static_cast<std::uint32_t>(id + 1);
+  if (spec_.protocol_processes() == 0) {
+    throw ProtocolError("TcpLauncher: empty cluster");
   }
-  ncfg.default_process = 0;  // voters/load clients live with the launcher
-  net_ = std::make_unique<net::TcpNet>(std::move(ncfg));
+  net_ = std::make_unique<net::TcpNet>(spec_.net_config(0, opt_.host));
+  for (std::size_t p = 0; p < spec_.protocol_processes(); ++p) {
+    children_.push_back(std::make_unique<Child>());
+  }
 }
 
 TcpLauncher::~TcpLauncher() {
@@ -272,41 +318,66 @@ TcpLauncher::~TcpLauncher() {
 
 void TcpLauncher::launch() {
   if (launched_) return;
-  const std::size_t n_proto = spec_.protocol_processes();
+  if (control_listen_fd_ < 0) {
+    control_listen_fd_ = net::tcp_listen(opt_.host, 0, &control_port_);
+  }
+  std::vector<std::size_t> all(children_.size());
+  std::iota(all.begin(), all.end(), std::size_t{1});
+  spawn(all, 1);
+  net_->set_peers(peer_table());
+  launched_ = true;
+}
+
+std::vector<net::TcpPeer> TcpLauncher::peer_table() const {
+  std::vector<net::TcpPeer> peers{{opt_.host, net_->listen_port()}};
+  for (auto& child : children_) peers.push_back({opt_.host, child->data_port});
+  return peers;
+}
+
+void TcpLauncher::spawn(const std::vector<std::size_t>& procs,
+                        std::uint64_t incarnation) {
   const std::string binary =
       opt_.node_binary.empty() ? default_node_binary() : opt_.node_binary;
-  control_listen_fd_ = net::tcp_listen(opt_.host, 0, &control_port_);
-
+  const std::string port_s = std::to_string(control_port_);
+  const std::string inc_s = std::to_string(incarnation);
   auto fail = [&](const std::string& what) {
-    for (auto& child : children_) {
-      if (child->pid > 0) ::kill(child->pid, SIGKILL);
-      if (child->control_fd >= 0) ::close(child->control_fd);
+    for (std::size_t p : procs) {
+      Child& c = *children_[p - 1];
+      if (c.pid > 0) {
+        ::kill(c.pid, SIGKILL);
+        ::waitpid(c.pid, nullptr, 0);
+        c.pid = -1;
+      }
+      if (c.control_fd >= 0) {
+        ::close(c.control_fd);
+        c.control_fd = -1;
+      }
     }
-    children_.clear();
-    ::close(control_listen_fd_);
-    control_listen_fd_ = -1;
     throw ProtocolError("TcpLauncher: " + what);
   };
 
-  for (std::size_t p = 1; p <= n_proto; ++p) {
-    std::string port_s = std::to_string(control_port_);
+  // Fork the whole set before the first HELLO, so the children rebuild
+  // their EA slices in parallel.
+  for (std::size_t p : procs) {
+    Child& c = *children_[p - 1];
     std::string proc_s = std::to_string(p);
+    std::string data_s = std::to_string(c.data_port);
     pid_t pid = ::fork();
     if (pid < 0) fail("fork failed");
     if (pid == 0) {
       ::execl(binary.c_str(), binary.c_str(), "--serve", opt_.host.c_str(),
-              port_s.c_str(), proc_s.c_str(), static_cast<char*>(nullptr));
+              port_s.c_str(), proc_s.c_str(), data_s.c_str(), inc_s.c_str(),
+              static_cast<char*>(nullptr));
       // exec failed (missing binary): nothing sane to do in the child.
       std::fprintf(stderr, "ddemos_node exec failed: %s\n", binary.c_str());
       ::_exit(127);
     }
-    auto child = std::make_unique<Child>();
-    child->pid = pid;
-    children_.push_back(std::move(child));
+    c.pid = pid;
+    c.incarnation = incarnation;
+    c.done.store(false, std::memory_order_release);
+    c.reported.store(false, std::memory_order_release);
   }
 
-  // Accept every child's control connection; the first frame identifies
-  // which process index dialed in (children race, order is arbitrary).
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::microseconds(kLaunchTimeoutUs);
   auto remaining_us = [&]() -> sim::Duration {
@@ -315,80 +386,73 @@ void TcpLauncher::launch() {
                     .count();
     return left > 0 ? left : 0;
   };
-  for (std::size_t i = 0; i < n_proto; ++i) {
+  // HELLO names the process that dialed in (children race, order is
+  // arbitrary). Only children of this set dial the control port now.
+  for (std::size_t i = 0; i < procs.size(); ++i) {
     if (!wait_readable(control_listen_fd_, remaining_us())) {
-      fail("timed out waiting for node processes (binary: " + binary + ")");
+      fail("timed out waiting for HELLO (binary: " + binary + ")");
     }
     int fd = ::accept(control_listen_fd_, nullptr, nullptr);
     if (fd < 0) fail("accept failed on the control socket");
-    auto hello = read_ctrl(fd);
-    if (!hello || hello->first != kCtrlHello) {
+    std::size_t proc =
+        expect_ctrl(fd, kCtrlHello, [](Reader& r) { return r.u32(); })
+            .value_or(0);
+    if (std::find(procs.begin(), procs.end(), proc) == procs.end() ||
+        children_[proc - 1]->control_fd >= 0) {
       ::close(fd);
-      fail("bad control hello");
-    }
-    Reader r(hello->second);
-    std::uint32_t proc = r.u32();
-    if (proc < 1 || proc > n_proto || children_[proc - 1]->control_fd >= 0) {
-      ::close(fd);
-      fail("control hello from unexpected process " + std::to_string(proc));
+      fail("bad HELLO (process " + std::to_string(proc) + ")");
     }
     children_[proc - 1]->control_fd = fd;
-    children_[proc - 1]->alive.store(true, std::memory_order_release);
   }
 
-  // Ship the cluster spec; every child deterministically recomputes its
-  // own node's EA data from (params, seed) — no artifacts on the wire.
-  {
-    Writer w;
-    spec_.encode(w);
-    w.u32(static_cast<std::uint32_t>(n_proto + 1));
-    for (auto& child : children_) {
-      if (!send_ctrl(child->control_fd, kCtrlConfig, w.data())) {
-        fail("failed to send config");
-      }
+  // CONFIG: every child deterministically recomputes its own node's EA
+  // data from (params, seed) — no artifacts on the wire.
+  Writer config;
+  spec_.encode(config);
+  for (std::size_t p : procs) {
+    if (!send_ctrl(children_[p - 1]->control_fd, kCtrlConfig, config.data())) {
+      fail("failed to send CONFIG to process " + std::to_string(p));
     }
   }
 
-  // Collect data-plane ports, then broadcast the full peer table.
-  std::vector<net::TcpPeer> peers(n_proto + 1);
-  peers[0] = net::TcpPeer{opt_.host, net_->listen_port()};
-  for (std::size_t p = 1; p <= n_proto; ++p) {
-    Child& child = *children_[p - 1];
-    if (!wait_readable(child.control_fd, remaining_us())) {
-      fail("timed out waiting for READY from process " + std::to_string(p));
+  // READY follows the node rebuild (and any WAL replay), so it gets the
+  // rest of the launch budget. A child on a remembered port must have
+  // rebound it: peers never receive a second peer table.
+  for (std::size_t p : procs) {
+    Child& c = *children_[p - 1];
+    std::optional<std::uint16_t> port;
+    if (wait_readable(c.control_fd, remaining_us())) {
+      port = expect_ctrl(c.control_fd, kCtrlReady,
+                         [](Reader& r) { return r.u16(); });
     }
-    auto ready = read_ctrl(child.control_fd);
-    if (!ready || ready->first != kCtrlReady) {
-      fail("bad READY from process " + std::to_string(p));
+    if (!port) fail("no READY from process " + std::to_string(p));
+    if (c.data_port != 0 && *port != c.data_port) {
+      fail("process " + std::to_string(p) + " bound port " +
+           std::to_string(*port) + ", expected " +
+           std::to_string(c.data_port));
     }
-    Reader r(ready->second);
-    peers[p] = net::TcpPeer{opt_.host, r.u16()};
-    // Remembered for respawns: a recovered process must rebind this exact
-    // port, because peers never receive a second peer table.
-    child.data_port = peers[p].port;
+    c.data_port = *port;
   }
-  net_->set_peers(peers);
-  {
-    Writer w;
-    w.vec(peers, [](Writer& w2, const net::TcpPeer& peer) {
-      w2.str(peer.host);
-      w2.u16(peer.port);
-    });
-    for (auto& child : children_) {
-      if (!send_ctrl(child->control_fd, kCtrlPeers, w.data())) {
-        fail("failed to send peer table");
-      }
+
+  Writer peers;
+  peers.vec(peer_table(), [](Writer& w, const net::TcpPeer& peer) {
+    w.str(peer.host);
+    w.u16(peer.port);
+  });
+  for (std::size_t p : procs) {
+    if (!send_ctrl(children_[p - 1]->control_fd, kCtrlPeers, peers.data())) {
+      fail("failed to send PEERS to process " + std::to_string(p));
     }
   }
 
   // From here on a dedicated thread per child consumes STATUS/REPORT
   // frames; a read error or EOF marks the process dead (fault cells
   // SIGKILL children mid-election, which must not wedge completion).
-  for (auto& child : children_) {
-    Child* c = child.get();
+  for (std::size_t p : procs) {
+    Child* c = children_[p - 1].get();
+    c->alive.store(true, std::memory_order_release);
     c->reader = std::thread([this, c] { control_reader(*c); });
   }
-  launched_ = true;
 }
 
 void TcpLauncher::control_reader(Child& child) {
@@ -414,7 +478,7 @@ void TcpLauncher::go() {
   if (!launched_) throw ProtocolError("TcpLauncher: go() before launch()");
   for (auto& child : children_) {
     if (child->alive.load(std::memory_order_acquire)) {
-      send_ctrl(child->control_fd, kCtrlGo);
+      send_go(child->control_fd, net_->now());
     }
   }
   net_->start();
@@ -477,108 +541,14 @@ void TcpLauncher::respawn_process(std::size_t process) {
     child.control_fd = -1;
   }
   if (child.pid > 0) {
-    int status = 0;
-    ::waitpid(child.pid, &status, 0);
+    ::waitpid(child.pid, nullptr, 0);
     child.pid = -1;
   }
-  child.incarnation += 1;
-  child.done.store(false, std::memory_order_release);
-  child.reported.store(false, std::memory_order_release);
-
-  const std::string binary =
-      opt_.node_binary.empty() ? default_node_binary() : opt_.node_binary;
-  std::string port_s = std::to_string(control_port_);
-  std::string proc_s = std::to_string(process);
-  std::string data_s = std::to_string(child.data_port);
-  std::string inc_s = std::to_string(child.incarnation);
-  pid_t pid = ::fork();
-  if (pid < 0) throw ProtocolError("TcpLauncher: respawn fork failed");
-  if (pid == 0) {
-    ::execl(binary.c_str(), binary.c_str(), "--serve", opt_.host.c_str(),
-            port_s.c_str(), proc_s.c_str(), data_s.c_str(), inc_s.c_str(),
-            static_cast<char*>(nullptr));
-    std::fprintf(stderr, "ddemos_node exec failed: %s\n", binary.c_str());
-    ::_exit(127);
+  spawn({process}, child.incarnation + 1);
+  if (!send_go(child.control_fd, net_->now())) {
+    throw ProtocolError("TcpLauncher: failed to send GO to process " +
+                        std::to_string(process));
   }
-  child.pid = pid;
-
-  auto fail = [&](const std::string& what) {
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    child.pid = -1;
-    throw ProtocolError("TcpLauncher: respawn: " + what);
-  };
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(kLaunchTimeoutUs);
-  auto remaining_us = [&]() -> sim::Duration {
-    auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                    deadline - std::chrono::steady_clock::now())
-                    .count();
-    return left > 0 ? left : 0;
-  };
-  // Same handshake as launch(), for one process. Only the respawned child
-  // dials the control port mid-election, so the next accept is ours.
-  if (!wait_readable(control_listen_fd_, remaining_us())) {
-    fail("timed out waiting for HELLO");
-  }
-  int fd = ::accept(control_listen_fd_, nullptr, nullptr);
-  if (fd < 0) fail("accept failed on the control socket");
-  auto hello = read_ctrl(fd);
-  std::uint32_t proc = 0;
-  if (hello && hello->first == kCtrlHello) {
-    Reader r(hello->second);
-    proc = r.u32();
-  }
-  if (proc != process) {
-    ::close(fd);
-    fail("bad HELLO (process " + std::to_string(proc) + ")");
-  }
-  child.control_fd = fd;
-  {
-    Writer w;
-    spec_.encode(w);
-    w.u32(static_cast<std::uint32_t>(spec_.protocol_processes() + 1));
-    if (!send_ctrl(fd, kCtrlConfig, w.data())) fail("failed to send config");
-  }
-  // The child replays its WAL while rebuilding, so READY can take a while;
-  // give it the whole launch budget.
-  if (!wait_readable(fd, remaining_us())) fail("timed out waiting for READY");
-  auto ready = read_ctrl(fd);
-  if (!ready || ready->first != kCtrlReady) fail("bad READY");
-  {
-    Reader r(ready->second);
-    std::uint16_t got = r.u16();
-    if (got != child.data_port) {
-      fail("respawned process bound port " + std::to_string(got) +
-           ", expected " + std::to_string(child.data_port));
-    }
-  }
-  {
-    // Rebuild the peer table from the remembered data ports (identical to
-    // the one every surviving process already holds).
-    std::vector<net::TcpPeer> peers(children_.size() + 1);
-    peers[0] = net::TcpPeer{opt_.host, net_->listen_port()};
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      peers[i + 1] = net::TcpPeer{opt_.host, children_[i]->data_port};
-    }
-    Writer w;
-    w.vec(peers, [](Writer& w2, const net::TcpPeer& peer) {
-      w2.str(peer.host);
-      w2.u16(peer.port);
-    });
-    if (!send_ctrl(fd, kCtrlPeers, w.data())) fail("failed to send peer table");
-  }
-  {
-    // GO carries the launcher's election clock: the child resumes the
-    // original time base, so absolute deadlines (t_end) stay meaningful.
-    Writer w;
-    w.u64(static_cast<std::uint64_t>(net_->now()));
-    if (!send_ctrl(fd, kCtrlGo, w.data())) fail("failed to send GO");
-  }
-  child.alive.store(true, std::memory_order_release);
-  Child* c = &child;
-  c->reader = std::thread([this, c] { control_reader(*c); });
 }
 
 void TcpLauncher::reap_children() {
@@ -602,61 +572,52 @@ void TcpLauncher::reap_children() {
 }
 
 std::vector<TcpProcessReport> TcpLauncher::stop_cluster() {
+  if (!stopped_) {
+    stopped_ = true;
+    stopping_.store(true, std::memory_order_release);
+    if (fault_thread_.joinable()) fault_thread_.join();
+    for (auto& child : children_) {
+      if (child->alive.load(std::memory_order_acquire)) {
+        send_ctrl(child->control_fd, kCtrlStop);
+      }
+    }
+    // Children stop their nets, ship a REPORT and exit; the control readers
+    // capture the report and observe EOF. Bounded wait, then force-reap.
+    auto unreported = [](const Child& c) {
+      return c.alive.load(std::memory_order_acquire) &&
+             !c.reported.load(std::memory_order_acquire);
+    };
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::microseconds(kLaunchTimeoutUs);
+    while (std::any_of(children_.begin(), children_.end(),
+                       [&](auto& c) { return unreported(*c); }) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    for (auto& child : children_) {
+      // A wedged child: SIGKILL, whose EOF unblocks its reader.
+      if (child->pid > 0 && unreported(*child)) ::kill(child->pid, SIGKILL);
+    }
+    reap_children();
+    for (auto& child : children_) {
+      if (child->reader.joinable()) child->reader.join();
+      if (child->control_fd >= 0) {
+        ::close(child->control_fd);
+        child->control_fd = -1;
+      }
+    }
+    if (control_listen_fd_ >= 0) {
+      ::close(control_listen_fd_);
+      control_listen_fd_ = -1;
+    }
+    net_->stop();
+  }
   std::vector<TcpProcessReport> reports;
-  if (stopped_) {
-    for (auto& child : children_) {
-      if (child->reported.load(std::memory_order_acquire)) {
-        reports.push_back(child->report);
-      }
-    }
-    return reports;
-  }
-  stopped_ = true;
-  stopping_.store(true, std::memory_order_release);
-  if (fault_thread_.joinable()) fault_thread_.join();
   for (auto& child : children_) {
-    if (child->alive.load(std::memory_order_acquire)) {
-      send_ctrl(child->control_fd, kCtrlStop);
-    }
-  }
-  // Children stop their nets, ship a REPORT and exit; the control readers
-  // capture the report and observe EOF. Bounded wait, then force-reap.
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(kLaunchTimeoutUs);
-  for (;;) {
-    bool pending = false;
-    for (auto& child : children_) {
-      if (child->alive.load(std::memory_order_acquire) &&
-          !child->reported.load(std::memory_order_acquire)) {
-        pending = true;
-      }
-    }
-    if (!pending || std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  for (auto& child : children_) {
-    if (child->pid > 0 &&
-        child->alive.load(std::memory_order_acquire) &&
-        !child->reported.load(std::memory_order_acquire)) {
-      ::kill(child->pid, SIGKILL);  // wedged child: EOF unblocks its reader
-    }
-  }
-  reap_children();
-  for (auto& child : children_) {
-    if (child->reader.joinable()) child->reader.join();
-    if (child->control_fd >= 0) {
-      ::close(child->control_fd);
-      child->control_fd = -1;
-    }
     if (child->reported.load(std::memory_order_acquire)) {
       reports.push_back(child->report);
     }
   }
-  if (control_listen_fd_ >= 0) {
-    ::close(control_listen_fd_);
-    control_listen_fd_ = -1;
-  }
-  net_->stop();
   return reports;
 }
 
@@ -692,12 +653,10 @@ ElectionReport TcpLauncher::run_election(const DriverConfig& cfg) {
   ElectionReport r;
   r.phases.t_start = p.t_start;
   r.phases.t_end = p.t_end;
-  std::size_t resolved_shards =
-      spec_.vc_shards > 1 ? spec_.vc_shards
-                          : std::max<std::size_t>(spec_.vc_options.n_shards, 1);
   r.vc_stats.assign(p.n_vc, vc::VcStats{});
   r.vc_shard_stats.assign(
-      p.n_vc, std::vector<vc::VcShardStats>(resolved_shards));
+      p.n_vc, std::vector<vc::VcShardStats>(
+                  resolved_vc_shards(spec_.vc_shards, spec_.vc_options)));
 
   bool any_live_bb = false;
   bool all_bbs_published = true;
@@ -706,32 +665,10 @@ ElectionReport TcpLauncher::run_election(const DriverConfig& cfg) {
   // keeps a zeroed row — structural completeness beats silent omission.
   r.process_accounting.assign(spec_.protocol_processes() + 1,
                               NodeAccounting{});
-  NodeAccounting& launcher_row = r.process_accounting[0];
-  launcher_row.name = "launcher";
-  launcher_row.events = net_->events_dispatched();
-  launcher_row.allocations = net::Buffer::payload_allocations() - alloc_base;
-  launcher_row.rss_kb = util::current_rss_kb();
-  launcher_row.peak_rss_kb = util::peak_rss_kb();
-  launcher_row.frames_sent = net_->frames_sent();
-  launcher_row.frames_received = net_->frames_received();
-  launcher_row.reconnects = net_->reconnects();
-  launcher_row.frames_dropped = net_->frames_dropped();
-  for (std::size_t proc = 1; proc <= spec_.protocol_processes(); ++proc) {
-    r.process_accounting[proc].name =
-        net_->node_name(static_cast<sim::NodeId>(proc - 1));
-  }
-
+  r.process_accounting[0] = sample_accounting(*net_, alloc_base);
   for (const TcpProcessReport& rep : reports) {
     if (rep.process >= 1 && rep.process < r.process_accounting.size()) {
-      NodeAccounting& row = r.process_accounting[rep.process];
-      row.events = rep.events;
-      row.allocations = rep.allocations;
-      row.rss_kb = rep.rss_kb;
-      row.peak_rss_kb = rep.peak_rss_kb;
-      row.frames_sent = rep.frames_sent;
-      row.frames_received = rep.frames_received;
-      row.reconnects = rep.reconnects;
-      row.frames_dropped = rep.frames_dropped;
+      r.process_accounting[rep.process] = rep;  // the NodeAccounting part
     }
     r.events_processed += rep.events;
 
@@ -765,6 +702,11 @@ ElectionReport TcpLauncher::run_election(const DriverConfig& cfg) {
             std::max(r.phases.result_published_at, node.result_published_at);
       }
     }
+  }
+  r.process_accounting[0].name = "launcher";
+  for (std::size_t proc = 1; proc < r.process_accounting.size(); ++proc) {
+    r.process_accounting[proc].name =
+        net_->node_name(static_cast<sim::NodeId>(proc - 1));
   }
   // Note: children time-stamp against their own epoch (microseconds since
   // their net start); GO lands within control-RTT of the launcher's epoch
@@ -834,31 +776,13 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
     w.u32(process);
     if (!send_ctrl(ctrl, kCtrlHello, w.data())) return 2;
   }
-  auto config = read_ctrl(ctrl);
-  if (!config || config->first != kCtrlConfig) return 2;
-  TcpClusterSpec spec;
-  try {
-    Reader r(config->second);
-    spec = TcpClusterSpec::decode(r);
-    (void)r.u32();  // total process count (implied by the spec today)
-  } catch (const CodecError&) {
+  std::optional<TcpClusterSpec> config = expect_ctrl(
+      ctrl, kCtrlConfig, [](Reader& r) { return TcpClusterSpec::decode(r); });
+  if (!config || process < 1 || process > config->protocol_processes()) {
     return 2;
   }
-
-  const std::size_t n_proto = spec.protocol_processes();
-  if (process < 1 || process > n_proto) return 2;
-  net::TcpConfig ncfg;
-  ncfg.self_process = process;
-  ncfg.election_id = spec.params.election_id;
-  ncfg.listen_host = host;
-  ncfg.node_process.resize(n_proto);
-  for (std::size_t id = 0; id < n_proto; ++id) {
-    ncfg.node_process[id] = static_cast<std::uint32_t>(id + 1);
-  }
-  ncfg.default_process = 0;
-  // Respawn: rebind the predecessor's data port (peers keep the one peer
-  // table they ever received) and announce the bumped incarnation so
-  // receivers reset their per-process dedup floor.
+  const TcpClusterSpec& spec = *config;
+  net::TcpConfig ncfg = spec.net_config(process, host);
   ncfg.listen_port = data_port;
   ncfg.incarnation = incarnation;
   net::TcpNet node_net(std::move(ncfg));
@@ -888,9 +812,7 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
     auto source =
         std::make_shared<store::MemoryBallotSource>(std::move(mine));
     vc::VcNode::Options vc_options = spec.vc_options;
-    vc_options.n_shards =
-        spec.vc_shards > 1 ? spec.vc_shards
-                           : std::max<std::size_t>(vc_options.n_shards, 1);
+    vc_options.n_shards = resolved_vc_shards(spec.vc_shards, spec.vc_options);
     std::vector<sim::NodeId> vc_ids(spec.params.n_vc);
     for (std::size_t i = 0; i < spec.params.n_vc; ++i) {
       vc_ids[i] = static_cast<sim::NodeId>(i);
@@ -945,32 +867,19 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
     w.u16(node_net.listen_port());
     if (!send_ctrl(ctrl, kCtrlReady, w.data())) return 2;
   }
-  auto peers_msg = read_ctrl(ctrl);
-  if (!peers_msg || peers_msg->first != kCtrlPeers) return 2;
-  try {
-    Reader r(peers_msg->second);
-    std::vector<net::TcpPeer> peers = r.vec<net::TcpPeer>([](Reader& r2) {
+  auto peers = expect_ctrl(ctrl, kCtrlPeers, [](Reader& r) {
+    return r.vec<net::TcpPeer>([](Reader& r2) {
       net::TcpPeer peer;
       peer.host = r2.str();
       peer.port = r2.u16();
       return peer;
     });
-    node_net.set_peers(std::move(peers));
-  } catch (const CodecError&) {
-    return 2;
-  }
-  auto go_msg = read_ctrl(ctrl);
-  if (!go_msg || go_msg->first != kCtrlGo) return 2;
-  if (!go_msg->second.empty()) {
-    // Respawn GO carries the launcher's current election clock; resuming
-    // that time base keeps absolute deadlines (t_end) meaningful here.
-    try {
-      Reader r(go_msg->second);
-      node_net.set_clock_offset(static_cast<sim::Duration>(r.u64()));
-    } catch (const CodecError&) {
-      return 2;
-    }
-  }
+  });
+  if (!peers) return 2;
+  node_net.set_peers(std::move(*peers));
+  auto clock = expect_ctrl(ctrl, kCtrlGo, [](Reader& r) { return r.u64(); });
+  if (!clock) return 2;
+  node_net.set_clock_offset(static_cast<sim::Duration>(*clock));
 
   std::uint64_t alloc_base = net::Buffer::payload_allocations();
   node_net.start();
@@ -1004,21 +913,12 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
     return 1;
   }
 
-  TcpProcessReport report;
-  report.process = process;
-  report.events = node_net.events_dispatched();
-  report.allocations = net::Buffer::payload_allocations() - alloc_base;
-  report.rss_kb = util::current_rss_kb();
-  report.peak_rss_kb = util::peak_rss_kb();
-  report.frames_sent = node_net.frames_sent();
-  report.frames_received = node_net.frames_received();
-  report.reconnects = node_net.reconnects();
-  report.frames_dropped = node_net.frames_dropped();
+  TcpProcessReport report{sample_accounting(node_net, alloc_base), process,
+                          {}};
   for (const VcHandle& vc : vcs) {
     TcpNodeReport n;
     n.node_id = vc.id;
     n.kind = TcpNodeReport::kVc;
-    n.done = vc.node->push_complete();
     n.vc_stats = vc.node->stats();
     n.vc_shard_stats = vc.node->shard_stats();
     std::vector<std::size_t> depth = node_net.shard_queue_high_water(vc.id);
@@ -1033,7 +933,6 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
     TcpNodeReport n;
     n.node_id = bb.id;
     n.kind = TcpNodeReport::kBb;
-    n.done = bb.node->result_published();
     n.result_published = bb.node->result_published();
     if (bb.node->result()) n.tally = bb.node->result()->tally;
     n.codes_published_at = bb.node->codes_published_at();

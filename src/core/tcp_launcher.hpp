@@ -6,8 +6,10 @@
 //
 //   spawn children -> C_HELLO -> C_CONFIG(spec) -> children build their
 //   node from the seed -> C_READY(data port) -> C_PEERS(port table) ->
-//   C_GO -> election runs over TcpNet data sockets, children stream
-//   C_STATUS -> C_STOP -> C_REPORT(per-node stats + accounting) -> exit.
+//   C_GO(launcher clock) -> election runs over TcpNet data sockets,
+//   children stream C_STATUS -> C_STOP -> C_REPORT(per-node stats +
+//   accounting) -> exit. A crash-recovery respawn runs the same spawn path
+//   for one process.
 //
 // Nothing heavy ships over the control socket: every process recomputes
 // the EA's deterministic setup from (params, seed), so a node process
@@ -49,8 +51,11 @@ struct TcpClusterSpec {
     return collection_only ? params.n_vc
                            : params.n_vc + params.n_bb + params.n_trustees;
   }
+  // The TcpNet config of process `self` under the placement convention.
+  net::TcpConfig net_config(std::uint32_t self, const std::string& host) const;
 
   void encode(Writer& w) const;
+  // Throws CodecError on truncated input or an unknown fsync policy.
   static TcpClusterSpec decode(Reader& r);
 };
 
@@ -59,7 +64,6 @@ struct TcpNodeReport {
   std::uint32_t node_id = 0;
   enum Kind : std::uint8_t { kVc = 0, kBb = 1, kTrustee = 2 };
   std::uint8_t kind = kVc;
-  bool done = false;
   // VC fields
   vc::VcStats vc_stats;
   std::vector<vc::VcShardStats> vc_shard_stats;
@@ -74,18 +78,10 @@ struct TcpNodeReport {
   static TcpNodeReport decode(Reader& r);
 };
 
-struct TcpProcessReport {
+// One node process's harvest: its NodeAccounting counters (the name stays
+// off the wire; the launcher names rows itself) plus its hosted nodes.
+struct TcpProcessReport : NodeAccounting {
   std::uint32_t process = 0;
-  // bench::Instrumentation-style accounting for the whole OS process.
-  std::uint64_t events = 0;
-  std::uint64_t allocations = 0;
-  std::uint64_t rss_kb = 0;
-  std::uint64_t peak_rss_kb = 0;
-  // Transport counters from the process's TcpNet.
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t reconnects = 0;
-  std::uint64_t frames_dropped = 0;
   std::vector<TcpNodeReport> nodes;
 
   void encode(Writer& w) const;
@@ -133,17 +129,15 @@ class TcpLauncher {
   // SIGKILL a node process (fault injection). The control connection's
   // EOF marks it dead; remote_complete() then skips it.
   void kill_process(std::size_t process);
-  // Crash recovery: fork a fresh `ddemos_node --serve` for a killed
-  // process and drive it through the full handshake again. The respawn
-  // reuses the process's original data port (peers keep dialing the
-  // address from the one peer table they ever received), bumps its HELLO
-  // incarnation (receivers reset their dedup floor), and ships the
-  // launcher's current election clock in the GO body so the child resumes
-  // the original time base. With spec().durability set, the child replays
-  // its nodes' WALs while rebuilding and rejoins mid-election; the new
-  // incarnation reports real counters at stop_cluster (no zeroed row).
-  // Throws ProtocolError if the process is still alive or the handshake
-  // fails.
+  // Crash recovery: start a fresh `ddemos_node --serve` for a killed
+  // process through the same spawn path as launch(), at the next
+  // incarnation (receivers reset their dedup floor) and on the process's
+  // original data port (peers keep dialing the address from the one peer
+  // table they ever received), then GO with the live election clock. With
+  // spec().durability set, the child replays its nodes' WALs while
+  // rebuilding and rejoins mid-election; the new incarnation reports real
+  // counters at stop_cluster (no zeroed row). Throws ProtocolError if the
+  // process is still alive or the handshake fails.
   void respawn_process(std::size_t process);
 
   // C_STOP to every live child, collect C_REPORTs, reap children (SIGKILL
@@ -171,12 +165,18 @@ class TcpLauncher {
     std::atomic<bool> done{false};
     std::atomic<bool> reported{false};
     TcpProcessReport report;
-    // For respawns: the data port this process must keep across
-    // incarnations, and the incarnation of the currently running one.
+    // The data port this process keeps across incarnations (0 until its
+    // first READY) and the incarnation of the currently running one.
     std::uint16_t data_port = 0;
     std::uint64_t incarnation = 1;
   };
 
+  // Forks one child per process in `procs` at `incarnation` (each on its
+  // remembered data port, 0 = OS-assigned), then runs HELLO, CONFIG, READY
+  // and PEERS over the whole set. On failure it kills and reaps every
+  // child it started and throws ProtocolError.
+  void spawn(const std::vector<std::size_t>& procs, std::uint64_t incarnation);
+  std::vector<net::TcpPeer> peer_table() const;
   void control_reader(Child& child);
   void reap_children();
 
@@ -196,13 +196,12 @@ class TcpLauncher {
 // socket, rebuild the assigned node from the received spec, run until
 // C_STOP, ship the report. Returns a process exit code.
 //
-// data_port/incarnation are only non-default on a crash-recovery respawn:
-// the child then binds the fixed data port its predecessor held and
-// announces the bumped incarnation in every HELLO. (The clock offset rides
-// the GO body instead of argv, so it is captured after the potentially
-// slow node rebuild.)
+// The child binds data_port (0 = OS-assigned; a respawn passes the port
+// its predecessor held) and announces `incarnation` in every HELLO. The
+// clock offset rides the GO body instead of argv, so it is captured after
+// the potentially slow node rebuild.
 int serve_tcp_node(const std::string& host, std::uint16_t port,
-                   std::uint32_t process, std::uint16_t data_port = 0,
-                   std::uint64_t incarnation = 1);
+                   std::uint32_t process, std::uint16_t data_port,
+                   std::uint64_t incarnation);
 
 }  // namespace ddemos::core

@@ -118,8 +118,9 @@ class TcpNet final : public sim::RuntimeHost {
   // Wall-clock microseconds since start() (0 before the first start),
   // plus the clock offset (crash-recovery respawn).
   TimePoint now() const override { return local_.now(); }
-  // A respawned node process learns the election's age from the GO body,
-  // after the node rebuild, and resumes the cluster's time base from it.
+  // A node process learns the launcher's election clock from the GO body,
+  // after the node rebuild (0 at launch, the election's age on a respawn),
+  // and resumes the cluster's time base from it.
   // Call before start().
   void set_clock_offset(Duration offset_us) {
     local_.set_clock_offset(offset_us);

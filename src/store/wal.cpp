@@ -89,7 +89,10 @@ Bytes Wal::frame(std::uint8_t type, BytesView payload) {
   Bytes out(kRecordHeader + payload.size() + kRecordTrailer);
   put_u32le(out.data(), static_cast<std::uint32_t>(payload.size()));
   out[4] = type;
-  std::memcpy(out.data() + kRecordHeader, payload.data(), payload.size());
+  // An empty payload may carry a null data pointer, which memcpy forbids.
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kRecordHeader, payload.data(), payload.size());
+  }
   std::uint32_t crc =
       crc32c(BytesView(out.data(), kRecordHeader + payload.size()));
   put_u32le(out.data() + kRecordHeader + payload.size(), crc);

@@ -1,12 +1,14 @@
-// TcpNet transport unit tests: wire framing, the shared real-clock timer
-// clamp, loopback delivery between two in-process TcpNet instances (two
-// "OS processes" of a cluster hosted in one test binary), reconnect after
-// a sever, and send-side backpressure against an unreachable peer.
+// TcpNet transport unit tests: wire framing, the launcher's control-socket
+// codecs, the shared real-clock timer clamp, loopback delivery between two
+// in-process TcpNet instances (two "OS processes" of a cluster hosted in
+// one test binary), reconnect after a sever, and send-side backpressure
+// against an unreachable peer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "core/tcp_launcher.hpp"
 #include "net/tcp_frame.hpp"
 #include "net/tcp_net.hpp"
 #include "test_clock.hpp"
@@ -67,6 +69,125 @@ TEST(TcpFrame, HelloBodyRoundTrip) {
   EXPECT_EQ(d.election_id, to_bytes("election-42"));
 }
 
+// Every strict prefix of a control-socket encoding is rejected cleanly.
+template <typename T>
+void expect_prefixes_rejected(const Bytes& wire) {
+  for (std::size_t n = 0; n < wire.size(); ++n) {
+    Reader r(BytesView(wire.data(), n));
+    EXPECT_THROW(T::decode(r), CodecError) << "prefix of " << n << " bytes";
+  }
+}
+
+// Decodes `wire` completely and re-encodes the result.
+template <typename T>
+Bytes reencode(const Bytes& wire, T* out) {
+  Reader r(wire);
+  *out = T::decode(r);
+  EXPECT_TRUE(r.done());
+  Writer w;
+  out->encode(w);
+  return w.take();
+}
+
+core::TcpClusterSpec sample_spec() {
+  core::TcpClusterSpec spec;
+  spec.params.election_id = to_bytes("control-codec");
+  spec.params.options = {"yes", "no", "blank"};
+  spec.params.n_voters = 17;
+  spec.params.n_vc = 4;
+  spec.params.f_vc = 1;
+  spec.params.n_bb = 3;
+  spec.params.f_bb = 1;
+  spec.params.n_trustees = 3;
+  spec.params.h_trustees = 2;
+  spec.params.t_end = 1'500'000;
+  spec.seed = 77;
+  spec.collection_only = true;
+  spec.consensus_rounds = 9;
+  spec.vc_shards = 3;
+  spec.vc_options.model_signatures = true;
+  spec.vc_options.sign_cost_us = 11;
+  spec.vc_options.n_shards = 2;
+  spec.trustee_options.poll_interval_us = 1234;
+  spec.durability.wal_dir = "wal-dir";
+  spec.durability.fsync = store::FsyncPolicy::kAlways;
+  spec.durability.fsync_interval = 64;  // one varint byte: fsync is at -2
+  return spec;
+}
+
+TEST(TcpControlCodec, ClusterSpecRoundTripAndTruncation) {
+  core::TcpClusterSpec spec = sample_spec();
+  Writer w;
+  spec.encode(w);
+  Bytes wire = w.take();
+  core::TcpClusterSpec back;
+  EXPECT_EQ(reencode(wire, &back), wire);
+  EXPECT_EQ(back.params.election_id, spec.params.election_id);
+  EXPECT_EQ(back.params.options, spec.params.options);
+  EXPECT_EQ(back.seed, 77u);
+  EXPECT_TRUE(back.collection_only);
+  EXPECT_EQ(back.vc_shards, 3u);
+  EXPECT_EQ(back.vc_options.n_shards, 2u);
+  EXPECT_EQ(back.durability.wal_dir, "wal-dir");
+  EXPECT_EQ(back.durability.fsync, store::FsyncPolicy::kAlways);
+  EXPECT_EQ(back.durability.fsync_interval, 64u);
+  expect_prefixes_rejected<core::TcpClusterSpec>(wire);
+}
+
+TEST(TcpControlCodec, ClusterSpecRejectsUnknownFsyncPolicy) {
+  Writer w;
+  sample_spec().encode(w);
+  Bytes wire = w.take();
+  std::uint8_t& fsync = wire[wire.size() - 2];
+  ASSERT_EQ(fsync, static_cast<std::uint8_t>(store::FsyncPolicy::kAlways));
+  fsync = 3;
+  Reader r(wire);
+  EXPECT_THROW(core::TcpClusterSpec::decode(r), CodecError);
+}
+
+TEST(TcpControlCodec, ProcessReportRoundTripAndTruncation) {
+  core::TcpProcessReport rep;
+  rep.process = 3;
+  rep.events = 1;
+  rep.allocations = 2;
+  rep.rss_kb = 3;
+  rep.peak_rss_kb = 4;
+  rep.frames_sent = 5;
+  rep.frames_received = 6;
+  rep.reconnects = 7;
+  rep.frames_dropped = 8;
+  core::TcpNodeReport vc;
+  vc.node_id = 2;
+  vc.vc_stats.votes_received = 10;
+  vc.vc_stats.push_done_at = 999;
+  vc.vc_shard_stats.resize(2);
+  vc.vc_shard_stats[1].queue_high_water = 12;
+  vc.vote_set = {{1, to_bytes("code-1")}, {4, to_bytes("code-4")}};
+  core::TcpNodeReport bb;
+  bb.node_id = 5;
+  bb.kind = core::TcpNodeReport::kBb;
+  bb.result_published = true;
+  bb.tally = {3, 4, 0};
+  bb.result_published_at = 4242;
+  rep.nodes = {vc, bb};
+
+  Writer w;
+  rep.encode(w);
+  Bytes wire = w.take();
+  core::TcpProcessReport back;
+  EXPECT_EQ(reencode(wire, &back), wire);
+  EXPECT_EQ(back.process, 3u);
+  EXPECT_EQ(back.events, 1u);
+  EXPECT_EQ(back.peak_rss_kb, 4u);
+  EXPECT_EQ(back.frames_dropped, 8u);
+  ASSERT_EQ(back.nodes.size(), 2u);
+  EXPECT_EQ(back.nodes[0].vc_shard_stats[1].queue_high_water, 12u);
+  EXPECT_EQ(back.nodes[0].vote_set, vc.vote_set);
+  EXPECT_EQ(back.nodes[1].kind, core::TcpNodeReport::kBb);
+  EXPECT_EQ(back.nodes[1].tally, bb.tally);
+  expect_prefixes_rejected<core::TcpProcessReport>(wire);
+}
+
 TEST(TimerClamp, SharedHelperBounds) {
   EXPECT_EQ(sim::clamp_real_timer_delay(-5), 0);
   EXPECT_EQ(sim::clamp_real_timer_delay(0), 0);
@@ -125,8 +246,17 @@ class Ping final : public sim::Process {
 
 class Echo final : public sim::Process {
  public:
+  // Holds back the reply to the n-th received message until release().
+  // Set before the host starts.
+  void hold_reply_at(std::uint64_t n) { hold_at_ = n; }
+  void release() { released_.store(true, std::memory_order_release); }
+
   void on_message(sim::NodeId from, const Buffer& payload) override {
-    received_.fetch_add(1, std::memory_order_relaxed);
+    if (received_.fetch_add(1, std::memory_order_relaxed) + 1 == hold_at_) {
+      while (!released_.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
     ctx().send(from, Buffer::copy_of(payload));
   }
   std::uint64_t received() const {
@@ -134,6 +264,8 @@ class Echo final : public sim::Process {
   }
 
  private:
+  std::uint64_t hold_at_ = 0;  // 0 = never hold
+  std::atomic<bool> released_{false};
   std::atomic<std::uint64_t> received_{0};
 };
 
@@ -198,17 +330,20 @@ TEST(TcpNet, LoopbackDeliveryAcrossProcesses) {
 TEST(TcpNet, SeverredConnectionsRedialAndComplete) {
   constexpr std::uint64_t kTotal = 200;
   Cluster c(kTotal, scaled(50'000));
+  // The echo withholds one reply mid-stream until both sides are severed,
+  // so the stream cannot finish first: completion can only happen through
+  // redial + retry.
+  c.echo->hold_reply_at(kTotal / 4);
   c.b.start();
   c.a.start();
 
-  // Sever every data socket on both sides once the stream is mid-flight,
-  // so completion can only happen through redial + retry.
   std::thread saboteur([&] {
     while (c.echo->received() < kTotal / 4) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     c.a.sever_connections();
     c.b.sever_connections();
+    c.echo->release();
   });
   sim::RunOptions opts;
   opts.wall_timeout_us = scaled(60'000'000);

@@ -59,7 +59,8 @@ TEST(Wal, RoundTripAndReplayDeterminism) {
 
     std::mt19937_64 rng(7);
     for (int i = 0; i < 200; ++i) {
-      Bytes payload(rng() % 300);
+      // Every 10th record is empty, like the VC's kWalPushed marker.
+      Bytes payload(i % 10 == 0 ? 0 : rng() % 300);
       for (auto& b : payload) b = std::uint8_t(rng());
       std::uint8_t type = std::uint8_t(1 + (i % 5));
       wal.append(type, payload);

@@ -1,10 +1,12 @@
 // Multi-process election node binary, two modes:
 //
-//   ddemos_node --serve <host> <port> <process>
+//   ddemos_node --serve <host> <port> <process> <data_port> <incarnation>
 //     Control-plane client spawned by core::TcpLauncher: dials the control
 //     socket, rebuilds its assigned protocol node from the shipped spec,
-//     serves the election over TcpNet, reports, exits. Not intended for
-//     manual use.
+//     serves the election over TcpNet on data_port (0 = OS-assigned),
+//     announcing `incarnation` (1 at launch, k+1 on the k-th crash-recovery
+//     respawn, which also passes its predecessor's data port), reports,
+//     exits. Not intended for manual use.
 //
 //   ddemos_node --launch [--vc N] [--fvc N] [--bb N] [--fbb N]
 //                        [--trustees N] [--ht N] [--voters N] [--seed S]
@@ -41,8 +43,8 @@ ddemos::sim::Duration scaled(ddemos::sim::Duration us) {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --serve <host> <port> <process> "
-               "[<data_port> <incarnation>]\n"
+               "usage: %s --serve <host> <port> <process> <data_port> "
+               "<incarnation>\n"
                "       %s --launch [--vc N] [--fvc N] [--bb N] [--fbb N]\n"
                "                   [--trustees N] [--ht N] [--voters N]\n"
                "                   [--seed S] [--shards N] [--timeout-s S]\n",
@@ -132,18 +134,13 @@ int run_launch(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--serve") == 0) {
-    // 5 args: initial spawn. 7 args: crash-recovery respawn, which pins the
-    // predecessor's data port and announces a bumped incarnation.
-    if (argc != 5 && argc != 7) return usage(argv[0]);
-    std::uint16_t data_port =
-        argc == 7 ? static_cast<std::uint16_t>(std::atoi(argv[5])) : 0;
-    std::uint64_t incarnation = argc == 7 ? std::strtoull(argv[6], nullptr, 10)
-                                          : 1;
+    if (argc != 7) return usage(argv[0]);
     try {
       return ddemos::core::serve_tcp_node(
           argv[2], static_cast<std::uint16_t>(std::atoi(argv[3])),
-          static_cast<std::uint32_t>(std::atoi(argv[4])), data_port,
-          incarnation);
+          static_cast<std::uint32_t>(std::atoi(argv[4])),
+          static_cast<std::uint16_t>(std::atoi(argv[5])),
+          std::strtoull(argv[6], nullptr, 10));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "ddemos_node --serve: %s\n", e.what());
       return 2;
