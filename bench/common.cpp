@@ -188,7 +188,6 @@ VoteCollectionResult VoteCollectionCampaign::run_cell(
     spec.seed = cfg.seed;
     spec.vc_only = true;
     spec.collection_only = true;
-    spec.vc_shards = opts.n_shards;
     spec.vc_options = opts;
     spec.durability = cfg.durability;
     launcher = std::make_unique<core::TcpLauncher>(std::move(spec));
@@ -203,28 +202,28 @@ VoteCollectionResult VoteCollectionCampaign::run_cell(
     sim->set_measure_cpu(true);
     host = sim.get();
   }
-  std::vector<NodeId> vc_ids(cfg.n_vc);
-  for (std::size_t i = 0; i < cfg.n_vc; ++i) vc_ids[i] = static_cast<NodeId>(i);
-  for (std::size_t i = 0; i < cfg.n_vc; ++i) {
-    if (tcp) {
-      launcher->net().add_remote("vc" + std::to_string(i));
-      continue;
-    }
-    NodeId id = host->add_node(
-        std::make_unique<vc::VcNode>(arts_.vc_inits[i], sources[i], vc_ids,
-                                     std::vector<NodeId>{}, opts),
-        "vc" + std::to_string(i));
+  // The VC cluster, through the builder every backend uses. On TCP it
+  // registers the remote VCs only: each node process builds its own.
+  core::DriverConfig dcfg;
+  dcfg.params = ea_params_;
+  dcfg.seed = cfg.seed;
+  dcfg.vc_options = opts;
+  dcfg.durability = cfg.durability;
+  if (!tcp) {
+    dcfg.store_factory = [sources](const core::VcInit& init) {
+      return sources[init.node_index];
+    };
+    // Bench cells are always fresh elections: drop any leftover log so
+    // attach_wal never replays a previous cell's state.
     if (cfg.durability.enabled()) {
-      // Bench cells are always fresh elections: drop any leftover log so
-      // attach_wal never replays a previous cell's state.
-      std::string wal_path =
-          cfg.durability.wal_dir + "/vc" + std::to_string(i) + ".wal";
-      std::remove(wal_path.c_str());
-      dynamic_cast<vc::VcNode&>(host->process(id))
-          .attach_wal(std::make_unique<store::Wal>(
-              wal_path, cfg.durability.wal_options()));
+      for (std::size_t i = 0; i < cfg.n_vc; ++i) {
+        std::remove(
+            cfg.durability.wal_path("vc" + std::to_string(i)).c_str());
+      }
     }
   }
+  std::vector<NodeId> vc_ids =
+      core::build_protocol_nodes(*host, arts_, dcfg).vc_ids;
   // The voter <-> VC link stays LAN-like even in the WAN experiment: the
   // paper emulates WAN latency between the VC nodes themselves.
   NodeId gen_id = host->add_node(

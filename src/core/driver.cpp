@@ -1,5 +1,6 @@
 #include "core/driver.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <unordered_set>
 
@@ -13,56 +14,51 @@ using sim::NodeId;
 ElectionTopology build_protocol_nodes(sim::RuntimeHost& host,
                                       const ea::SetupArtifacts& artifacts,
                                       const DriverConfig& cfg) {
-  const ElectionParams& p = cfg.params;
+  const std::size_t n_vc = cfg.params.n_vc;
   ElectionTopology topo;
 
   // VC nodes take host ids 0..Nv-1 (the convention BB nodes use to
-  // identify authenticated VC writers).
-  std::vector<NodeId> vc_ids(p.n_vc), bb_ids(p.n_bb);
-  for (std::size_t i = 0; i < p.n_vc; ++i) vc_ids[i] = static_cast<NodeId>(i);
-  for (std::size_t i = 0; i < p.n_bb; ++i) {
-    bb_ids[i] = static_cast<NodeId>(p.n_vc + i);
+  // identify authenticated VC writers); the BBs follow.
+  std::vector<NodeId> vc_ids(n_vc), bb_ids(artifacts.bb_inits.size());
+  for (std::size_t i = 0; i < n_vc; ++i) vc_ids[i] = static_cast<NodeId>(i);
+  for (std::size_t i = 0; i < bb_ids.size(); ++i) {
+    bb_ids[i] = static_cast<NodeId>(n_vc + i);
   }
-  vc::VcNode::Options vc_options = cfg.vc_options;
-  vc_options.n_shards = resolved_vc_shards(cfg.vc_shards, cfg.vc_options);
   // Durability: each locally hosted VC/BB node gets a WAL at
   // <wal_dir>/<node name>.wal, replayed (crash recovery) before the host
   // starts. Remote placeholders (multi-process clusters) get theirs from
   // the process that actually hosts them — this same code, running there.
-  auto wal_for = [&](const std::string& name) {
-    return std::make_unique<store::Wal>(cfg.durability.wal_dir + "/" + name,
-                                        cfg.durability.wal_options());
+  auto wal_for = [&](NodeId id) -> std::unique_ptr<store::Wal> {
+    if (!cfg.durability.enabled() || !host.is_local(id)) return nullptr;
+    return std::make_unique<store::Wal>(
+        cfg.durability.wal_path(host.node_name(id)),
+        cfg.durability.wal_options());
   };
-  for (std::size_t i = 0; i < p.n_vc; ++i) {
-    std::shared_ptr<store::BallotDataSource> source;
-    if (cfg.store_factory) {
-      source = cfg.store_factory(artifacts.vc_inits[i]);
-    } else {
-      source = std::make_shared<store::MemoryBallotSource>(
-          artifacts.vc_inits[i].ballots);
-    }
-    std::string name = "vc" + std::to_string(i);
+  for (std::size_t i = 0; i < n_vc; ++i) {
+    const VcInit& init = artifacts.vc_inits[i];
+    std::shared_ptr<store::BallotDataSource> source =
+        cfg.store_factory
+            ? cfg.store_factory(init)
+            : std::make_shared<store::MemoryBallotSource>(init.ballots);
     NodeId id = host.add_node(
-        std::make_unique<vc::VcNode>(artifacts.vc_inits[i], source, vc_ids,
-                                     bb_ids, vc_options),
-        name);
-    if (cfg.durability.enabled() && host.is_local(id)) {
-      dynamic_cast<vc::VcNode&>(host.process(id))
-          .attach_wal(wal_for(name + ".wal"));
+        std::make_unique<vc::VcNode>(init, std::move(source), vc_ids, bb_ids,
+                                     cfg.vc_options),
+        "vc" + std::to_string(i));
+    if (auto wal = wal_for(id)) {
+      dynamic_cast<vc::VcNode&>(host.process(id)).attach_wal(std::move(wal));
     }
     topo.vc_ids.push_back(id);
   }
-  for (std::size_t i = 0; i < p.n_bb; ++i) {
-    std::string name = "bb" + std::to_string(i);
+  for (std::size_t i = 0; i < bb_ids.size(); ++i) {
     NodeId id = host.add_node(
-        std::make_unique<bb::BbNode>(artifacts.bb_inits[i]), name);
-    if (cfg.durability.enabled() && host.is_local(id)) {
-      dynamic_cast<bb::BbNode&>(host.process(id))
-          .attach_wal(wal_for(name + ".wal"));
+        std::make_unique<bb::BbNode>(artifacts.bb_inits[i]),
+        "bb" + std::to_string(i));
+    if (auto wal = wal_for(id)) {
+      dynamic_cast<bb::BbNode&>(host.process(id)).attach_wal(std::move(wal));
     }
     topo.bb_ids.push_back(id);
   }
-  for (std::size_t i = 0; i < p.n_trustees; ++i) {
+  for (std::size_t i = 0; i < artifacts.trustee_inits.size(); ++i) {
     NodeId id = host.add_node(
         std::make_unique<trustee::TrusteeNode>(artifacts.trustee_inits[i],
                                                topo.bb_ids,
@@ -172,7 +168,7 @@ void ElectionDriver::init() {
     artifacts_ = cfg_.artifacts;
   } else {
     auto arts = std::make_shared<ea::SetupArtifacts>(
-        ea::ea_setup({cfg_.params, cfg_.seed, false, 64}));
+        ea::ea_setup({cfg_.params, cfg_.seed}));
     if (cfg_.tamper_setup) cfg_.tamper_setup(*arts);
     artifacts_ = std::move(arts);
   }

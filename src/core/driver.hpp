@@ -9,7 +9,6 @@
 // crosses phase boundaries on either backend.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -41,17 +40,11 @@ struct DurabilityConfig {
   store::FsyncPolicy fsync = store::FsyncPolicy::kInterval;
   std::size_t fsync_interval = 64;  // records per fsync under kInterval
   bool enabled() const { return !wal_dir.empty(); }
+  std::string wal_path(const std::string& node_name) const {
+    return wal_dir + "/" + node_name + ".wal";
+  }
   store::WalOptions wal_options() const { return {fsync, fsync_interval}; }
 };
-
-// Worker shards per VC node. An explicit vc_shards > 1 wins; otherwise a
-// directly-set vc_options.n_shards applies, so a caller using the knob
-// VcNode itself documents is never silently reset to unsharded.
-inline std::size_t resolved_vc_shards(std::size_t vc_shards,
-                                      const vc::VcNode::Options& vc_options) {
-  return vc_shards > 1 ? vc_shards
-                       : std::max<std::size_t>(vc_options.n_shards, 1);
-}
 
 struct DriverConfig {
   ElectionParams params;
@@ -59,21 +52,20 @@ struct DriverConfig {
   // Voter workload source; null defaults to RoundRobinWorkload (every slot
   // votes, option = slot % m, casts spread over the window).
   std::shared_ptr<Workload> workload;
+  // Every VC node's options. vc_options.n_shards is the intra-node worker
+  // shard count: 1 = the legacy serial node; > 1 partitions each node's
+  // serial range across shards — one worker thread per shard on ThreadNet,
+  // one virtual processor per shard on the simulator — and requires
+  // contiguous serials (the EA default).
   vc::VcNode::Options vc_options;
-  // Intra-node worker shards per VC node. When set (> 1) it overrides
-  // vc_options.n_shards at build time; at its default of 1 a directly-set
-  // vc_options.n_shards still applies. 1 = the legacy serial node; > 1
-  // partitions each node's serial range across shards — one worker thread
-  // per shard on ThreadNet, one virtual processor per shard on the
-  // simulator — and requires contiguous serials (the EA default).
-  std::size_t vc_shards = 1;
   client::Voter::Config voter_template;  // patience etc. (ballot filled in)
   // Indices of nodes to crash before start (simulator backend only).
   std::vector<std::size_t> crashed_vcs;
   std::vector<std::size_t> crashed_bbs;
   std::vector<std::size_t> crashed_trustees;
-  // Custom ballot source per VC node (e.g. DiskBallotSource); defaults to
-  // MemoryBallotSource over the EA's data.
+  // Custom ballot source per VC node (e.g. DiskBallotSource, or a process's
+  // own slice of a streamed setup); defaults to MemoryBallotSource over the
+  // EA's data. Called for every VC, hosted here or not.
   std::function<std::shared_ptr<store::BallotDataSource>(const VcInit&)>
       store_factory;
   // Invoked on the EA's output before any node is constructed. Used by
@@ -185,7 +177,7 @@ struct ElectionReport {
   std::vector<vc::VcStats> vc_stats;   // per VC node
   // Per-shard breakdown [vc node][shard]: handled messages, endorsements,
   // receipts, and (on ThreadNet) the shard mailbox high-water mark. One
-  // entry per shard even when vc_shards = 1.
+  // entry per shard even when vc_options.n_shards = 1.
   std::vector<std::vector<vc::VcShardStats>> vc_shard_stats;
   // Runtime accounting for the run() span (zeros on ThreadNet where noted).
   std::uint64_t events_processed = 0;    // handler invocations, both backends
@@ -236,6 +228,10 @@ ElectionTopology build_election(sim::RuntimeHost& host,
 // client half on top. On TcpNet, add_node keeps just the nodes the calling
 // process hosts, so running the identical build in every process yields
 // an aligned id/name space with each node constructed exactly once.
+//
+// build_protocol_nodes is the one place protocol nodes are constructed and
+// their WALs attached. It builds the BBs and trustees the artifacts carry:
+// vc_only artifacts carry none, so they give a VC-only cluster.
 ElectionTopology build_protocol_nodes(sim::RuntimeHost& host,
                                       const ea::SetupArtifacts& artifacts,
                                       const DriverConfig& cfg);

@@ -158,6 +158,43 @@ vc::VcShardStats decode_shard_stats(Reader& r) {
   return s;
 }
 
+// Rebuilds, from (params, seed), the nodes that node process `process`
+// hosts, through the builder every backend uses; it opens (and replays)
+// <wal_dir>/<name>.wal for each of them. The EA data lives only as long as
+// the build: every node keeps its own copy.
+ElectionTopology build_hosted_nodes(net::TcpNet& net,
+                                    const TcpClusterSpec& spec,
+                                    std::uint32_t process) {
+  DriverConfig cfg;
+  cfg.params = spec.params;
+  cfg.seed = spec.seed;
+  cfg.vc_options = spec.vc_options;
+  cfg.trustee_options = spec.trustee_options;
+  cfg.durability = spec.durability;
+  if (!spec.collection_only) {
+    return build_protocol_nodes(net, ea::ea_setup({spec.params, spec.seed}),
+                                cfg);
+  }
+  // Streaming EA, keeping only this VC's per-ballot slice: a bench cluster
+  // of P processes holds 1/P of the ballot universe each. The other VCs
+  // are remote placeholders and get an empty source.
+  const std::size_t my_vc = process - 1;
+  std::vector<VcBallotInit> mine;
+  ea::SetupArtifacts arts = ea::ea_setup_streaming(
+      {spec.params, spec.seed, /*vc_only=*/true},
+      [&](const Ballot&, std::span<VcBallotInit> per_vc) {
+        mine.push_back(std::move(per_vc[my_vc]));
+      });
+  auto slice = std::make_shared<store::MemoryBallotSource>(std::move(mine));
+  cfg.store_factory = [slice, my_vc](const VcInit& init)
+      -> std::shared_ptr<store::BallotDataSource> {
+    if (init.node_index == my_vc) return slice;
+    return std::make_shared<store::MemoryBallotSource>(
+        std::vector<VcBallotInit>{});
+  };
+  return build_protocol_nodes(net, arts, cfg);
+}
+
 }  // namespace
 
 net::TcpConfig TcpClusterSpec::net_config(std::uint32_t self,
@@ -180,8 +217,6 @@ void TcpClusterSpec::encode(Writer& w) const {
   w.u64(seed);
   w.boolean(vc_only);
   w.boolean(collection_only);
-  w.varint(consensus_rounds);
-  w.varint(vc_shards);
   w.boolean(vc_options.model_signatures);
   w.u64(static_cast<std::uint64_t>(vc_options.sign_cost_us));
   w.u64(static_cast<std::uint64_t>(vc_options.verify_cost_us));
@@ -203,8 +238,6 @@ TcpClusterSpec TcpClusterSpec::decode(Reader& r) {
   s.seed = r.u64();
   s.vc_only = r.boolean();
   s.collection_only = r.boolean();
-  s.consensus_rounds = static_cast<std::size_t>(r.varint());
-  s.vc_shards = static_cast<std::size_t>(r.varint());
   s.vc_options.model_signatures = r.boolean();
   s.vc_options.sign_cost_us = static_cast<sim::Duration>(r.u64());
   s.vc_options.verify_cost_us = static_cast<sim::Duration>(r.u64());
@@ -286,9 +319,6 @@ TcpClusterSpec TcpLauncher::spec_from(const DriverConfig& cfg) {
   TcpClusterSpec spec;
   spec.params = cfg.params;
   spec.seed = cfg.seed;
-  spec.vc_only = false;
-  spec.collection_only = false;
-  spec.vc_shards = cfg.vc_shards;
   spec.vc_options = cfg.vc_options;
   spec.trustee_options = cfg.trustee_options;
   spec.durability = cfg.durability;
@@ -299,6 +329,12 @@ TcpLauncher::TcpLauncher(TcpClusterSpec spec, Options opt)
     : spec_(std::move(spec)), opt_(std::move(opt)) {
   if (spec_.protocol_processes() == 0) {
     throw ProtocolError("TcpLauncher: empty cluster");
+  }
+  // A full cluster needs the EA's BB/trustee data, and a VC-only cluster
+  // rebuilds from the streaming EA, which is vc_only by definition.
+  if (spec_.vc_only != spec_.collection_only) {
+    throw ProtocolError(
+        "TcpLauncher: vc_only and collection_only must be set together");
   }
   net_ = std::make_unique<net::TcpNet>(spec_.net_config(0, opt_.host));
   for (std::size_t p = 0; p < spec_.protocol_processes(); ++p) {
@@ -628,8 +664,8 @@ ElectionReport TcpLauncher::run_election(const DriverConfig& cfg) {
   launch();
   std::shared_ptr<const ea::SetupArtifacts> artifacts = cfg.artifacts;
   if (!artifacts) {
-    artifacts = std::make_shared<const ea::SetupArtifacts>(ea::ea_setup(
-        {spec_.params, spec_.seed, spec_.vc_only, spec_.consensus_rounds}));
+    artifacts = std::make_shared<const ea::SetupArtifacts>(
+        ea::ea_setup({spec_.params, spec_.seed, spec_.vc_only}));
   }
   // The identical build code path as the other backends: the protocol-node
   // prefix turns into remote placeholders here (each node process keeps
@@ -655,8 +691,7 @@ ElectionReport TcpLauncher::run_election(const DriverConfig& cfg) {
   r.phases.t_end = p.t_end;
   r.vc_stats.assign(p.n_vc, vc::VcStats{});
   r.vc_shard_stats.assign(
-      p.n_vc, std::vector<vc::VcShardStats>(
-                  resolved_vc_shards(spec_.vc_shards, spec_.vc_options)));
+      p.n_vc, std::vector<vc::VcShardStats>(spec_.vc_options.n_shards));
 
   bool any_live_bb = false;
   bool all_bbs_published = true;
@@ -787,78 +822,18 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
   ncfg.incarnation = incarnation;
   net::TcpNet node_net(std::move(ncfg));
 
-  // Rebuild this process's node from the seed. Typed handles feed the
-  // status loop and the final report.
-  struct VcHandle {
-    sim::NodeId id;
-    vc::VcNode* node;
-  };
-  struct BbHandle {
-    sim::NodeId id;
-    bb::BbNode* node;
-  };
-  std::vector<VcHandle> vcs;
-  std::vector<BbHandle> bbs;
-  if (spec.collection_only) {
-    // Streaming EA, keeping only this VC's per-ballot slice: a bench
-    // cluster of P processes holds 1/P of the ballot universe each.
-    const std::size_t my_vc = process - 1;
-    std::vector<VcBallotInit> mine;
-    ea::SetupArtifacts arts = ea::ea_setup_streaming(
-        {spec.params, spec.seed, /*vc_only=*/true, spec.consensus_rounds},
-        [&](const Ballot&, std::span<VcBallotInit> per_vc) {
-          mine.push_back(std::move(per_vc[my_vc]));
-        });
-    auto source =
-        std::make_shared<store::MemoryBallotSource>(std::move(mine));
-    vc::VcNode::Options vc_options = spec.vc_options;
-    vc_options.n_shards = resolved_vc_shards(spec.vc_shards, spec.vc_options);
-    std::vector<sim::NodeId> vc_ids(spec.params.n_vc);
-    for (std::size_t i = 0; i < spec.params.n_vc; ++i) {
-      vc_ids[i] = static_cast<sim::NodeId>(i);
+  // Typed handles to the hosted nodes feed the status loop and the report.
+  ElectionTopology topo = build_hosted_nodes(node_net, spec, process);
+  std::vector<std::pair<sim::NodeId, vc::VcNode*>> vcs;
+  std::vector<std::pair<sim::NodeId, bb::BbNode*>> bbs;
+  for (sim::NodeId id : topo.vc_ids) {
+    if (node_net.is_local(id)) {
+      vcs.emplace_back(id, &dynamic_cast<vc::VcNode&>(node_net.process(id)));
     }
-    for (std::size_t i = 0; i < spec.params.n_vc; ++i) {
-      if (i == my_vc) {
-        sim::NodeId id = node_net.add_node(
-            std::make_unique<vc::VcNode>(arts.vc_inits[i], source, vc_ids,
-                                         std::vector<sim::NodeId>{},
-                                         vc_options),
-            "vc" + std::to_string(i));
-        auto& node = dynamic_cast<vc::VcNode&>(node_net.process(id));
-        if (spec.durability.enabled()) {
-          node.attach_wal(std::make_unique<store::Wal>(
-              spec.durability.wal_dir + "/vc" + std::to_string(i) + ".wal",
-              spec.durability.wal_options()));
-        }
-        vcs.push_back(VcHandle{id, &node});
-      } else {
-        node_net.add_remote("vc" + std::to_string(i));
-      }
-    }
-  } else {
-    ea::SetupArtifacts arts = ea::ea_setup(
-        {spec.params, spec.seed, spec.vc_only, spec.consensus_rounds});
-    DriverConfig dcfg;
-    dcfg.params = spec.params;
-    dcfg.seed = spec.seed;
-    dcfg.vc_options = spec.vc_options;
-    dcfg.vc_shards = spec.vc_shards;
-    dcfg.trustee_options = spec.trustee_options;
-    // build_protocol_nodes opens (and replays) <wal_dir>/<name>.wal for
-    // every node hosted in this process.
-    dcfg.durability = spec.durability;
-    ElectionTopology topo = build_protocol_nodes(node_net, arts, dcfg);
-    for (sim::NodeId id : topo.vc_ids) {
-      if (node_net.is_local(id)) {
-        vcs.push_back(
-            VcHandle{id, &dynamic_cast<vc::VcNode&>(node_net.process(id))});
-      }
-    }
-    for (sim::NodeId id : topo.bb_ids) {
-      if (node_net.is_local(id)) {
-        bbs.push_back(
-            BbHandle{id, &dynamic_cast<bb::BbNode&>(node_net.process(id))});
-      }
+  }
+  for (sim::NodeId id : topo.bb_ids) {
+    if (node_net.is_local(id)) {
+      bbs.emplace_back(id, &dynamic_cast<bb::BbNode&>(node_net.process(id)));
     }
   }
 
@@ -898,8 +873,8 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
       continue;
     }
     bool done = true;
-    for (const VcHandle& vc : vcs) done = done && vc.node->push_complete();
-    for (const BbHandle& bb : bbs) done = done && bb.node->result_published();
+    for (const auto& [id, vc] : vcs) done = done && vc->push_complete();
+    for (const auto& [id, bb] : bbs) done = done && bb->result_published();
     Writer w;
     w.u8(done ? 1 : 0);
     if (!send_ctrl(ctrl, kCtrlStatus, w.data())) {
@@ -915,28 +890,28 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
 
   TcpProcessReport report{sample_accounting(node_net, alloc_base), process,
                           {}};
-  for (const VcHandle& vc : vcs) {
+  for (const auto& [id, vc] : vcs) {
     TcpNodeReport n;
-    n.node_id = vc.id;
+    n.node_id = id;
     n.kind = TcpNodeReport::kVc;
-    n.vc_stats = vc.node->stats();
-    n.vc_shard_stats = vc.node->shard_stats();
-    std::vector<std::size_t> depth = node_net.shard_queue_high_water(vc.id);
+    n.vc_stats = vc->stats();
+    n.vc_shard_stats = vc->shard_stats();
+    std::vector<std::size_t> depth = node_net.shard_queue_high_water(id);
     for (std::size_t s = 0; s < n.vc_shard_stats.size() && s < depth.size();
          ++s) {
       n.vc_shard_stats[s].queue_high_water = depth[s];
     }
-    n.vote_set = vc.node->final_vote_set();
+    n.vote_set = vc->final_vote_set();
     report.nodes.push_back(std::move(n));
   }
-  for (const BbHandle& bb : bbs) {
+  for (const auto& [id, bb] : bbs) {
     TcpNodeReport n;
-    n.node_id = bb.id;
+    n.node_id = id;
     n.kind = TcpNodeReport::kBb;
-    n.result_published = bb.node->result_published();
-    if (bb.node->result()) n.tally = bb.node->result()->tally;
-    n.codes_published_at = bb.node->codes_published_at();
-    n.result_published_at = bb.node->result_published_at();
+    n.result_published = bb->result_published();
+    if (bb->result()) n.tally = bb->result()->tally;
+    n.codes_published_at = bb->codes_published_at();
+    n.result_published_at = bb->result_published_at();
     report.nodes.push_back(std::move(n));
   }
   {

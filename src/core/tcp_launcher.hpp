@@ -37,11 +37,12 @@ namespace ddemos::core {
 struct TcpClusterSpec {
   ElectionParams params;
   std::uint64_t seed = 1;
-  bool vc_only = false;          // EA mode (no BB/trustee crypto payload)
-  bool collection_only = false;  // spawn VC processes only (bench clusters)
-  std::size_t consensus_rounds = 64;
-  std::size_t vc_shards = 1;
-  vc::VcNode::Options vc_options;
+  // EA mode (no BB/trustee crypto payload) and cluster shape (VC processes
+  // only, each rebuilding just its own ballot slice): bench clusters set
+  // both, full elections neither; TcpLauncher rejects a mix.
+  bool vc_only = false;
+  bool collection_only = false;
+  vc::VcNode::Options vc_options;  // n_shards: worker shards per VC node
   trustee::TrusteeNode::Options trustee_options;
   // Durability knob, shipped to every node process: each one opens (and on
   // a respawn, replays) <wal_dir>/<node name>.wal for the nodes it hosts.
@@ -102,6 +103,8 @@ class TcpLauncher {
     sim::Duration fault_after_us = 0;
   };
 
+  // Throws ProtocolError on an empty cluster or when spec.vc_only and
+  // spec.collection_only differ.
   TcpLauncher(TcpClusterSpec spec, Options opt = {});
   ~TcpLauncher();  // best-effort: C_STOP + SIGKILL anything still alive
 

@@ -187,8 +187,8 @@ void ClosedLoopClient::on_start() {
 
 void ClosedLoopClient::send_next() {
   if (next_ >= targets_.size()) return;
-  const VoteTarget& t = targets_[next_++];
-  in_flight_[t.serial] = {ctx().now(), t.option};
+  const VoteTarget& t = targets_[next_];
+  in_flight_[t.serial] = {ctx().now(), next_++};
   sim::NodeId vc = vc_ids_[rng_.below(vc_ids_.size())];
   ctx().send(vc, VoteMsg{t.serial, t.code}.encode());
 }
@@ -200,11 +200,13 @@ void ClosedLoopClient::on_message(sim::NodeId, const net::Buffer& payload) {
     VoteReplyMsg m = VoteReplyMsg::decode(r);
     auto it = in_flight_.find(m.serial);
     if (it == in_flight_.end()) return;
-    if (m.status != VoteReplyStatus::kOk) {
+    const VoteTarget& t = targets_[it->second.second];
+    if (m.status != VoteReplyStatus::kOk || m.receipt != t.receipt) {
       // Never throw out of a handler: on ThreadNet that would escape the
-      // worker thread and terminate the process. Rejections are counted
-      // and surfaced through rejected(); the cast still frees its
-      // concurrency slot so the loop drains.
+      // worker thread and terminate the process. Rejections, and receipts
+      // that differ from the printed one, are counted and surfaced through
+      // rejected(); the cast still frees its concurrency slot so the loop
+      // drains.
       ++rejected_;
       in_flight_.erase(it);
       send_next();
@@ -212,10 +214,11 @@ void ClosedLoopClient::on_message(sim::NodeId, const net::Buffer& payload) {
     }
     latency_sum_us_ += static_cast<double>(ctx().now() - it->second.first);
     ++latency_count_;
-    std::size_t option = it->second.second;
-    if (option != kAbstain) {
-      if (option >= option_tally_.size()) option_tally_.resize(option + 1, 0);
-      ++option_tally_[option];
+    if (t.option != kAbstain) {
+      if (t.option >= option_tally_.size()) {
+        option_tally_.resize(t.option + 1, 0);
+      }
+      ++option_tally_[t.option];
     }
     in_flight_.erase(it);
     ++completed_;

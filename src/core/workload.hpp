@@ -195,8 +195,8 @@ class DiskTraceWorkload final : public Workload {
 };
 
 // One castable vote for the closed-loop client: the ballot serial, the
-// vote code of the chosen line, and (when known) the printed receipt and
-// the option the code stands for.
+// vote code of the chosen line, the printed receipt the cast must return,
+// and (when known) the option the code stands for.
 struct VoteTarget {
   Serial serial = 0;
   Bytes code;
@@ -218,7 +218,8 @@ class ClosedLoopClient final : public sim::Process {
   void on_message(sim::NodeId from, const net::Buffer& payload) override;
 
   // Every cast resolved, successfully or not (rejections free their
-  // concurrency slot so the loop always drains).
+  // concurrency slot so the loop always drains). A kOk reply whose receipt
+  // differs from the target's printed one counts as rejected.
   bool done() const { return completed_ + rejected_ == targets_.size(); }
   std::size_t completed() const { return completed_; }
   std::size_t rejected() const { return rejected_; }
@@ -242,6 +243,7 @@ class ClosedLoopClient final : public sim::Process {
   // Atomic: read by the ThreadNet completion predicate mid-run.
   std::atomic<std::size_t> completed_{0};
   std::atomic<std::size_t> rejected_{0};
+  // serial -> (send time, target index)
   std::map<Serial, std::pair<sim::TimePoint, std::size_t>> in_flight_;
   std::vector<std::uint64_t> option_tally_;
   sim::TimePoint first_send_ = -1;

@@ -41,7 +41,10 @@ SetupArtifacts ea_setup(const EaConfig& config);
 // per-ballot data is handed to `sink` one ballot at a time so millions of
 // ballots never reside in memory (the benchmark writes them straight into
 // DiskBallotSource builders). vc_inits in the returned artifacts have empty
-// ballot vectors.
+// ballot vectors. Both entry points share one generator: for the same
+// config, the streamed ballots and per-VC data are exactly ea_setup's
+// vc_only output, so a process can rebuild its slice of an election that
+// another process set up with ea_setup.
 using BallotSink = std::function<void(const core::Ballot& ballot,
                                       std::span<core::VcBallotInit> per_vc)>;
 SetupArtifacts ea_setup_streaming(const EaConfig& config,

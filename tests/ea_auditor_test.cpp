@@ -184,6 +184,56 @@ TEST(EaSetup, StreamingMatchesConfigScale) {
       ProtocolError);
 }
 
+// Every TCP node process rebuilds its slice of a vc_only election with the
+// streaming EA while the launcher may hold ea_setup's copy: the two must be
+// one election, ballot for ballot and byte for byte.
+TEST(EaSetup, StreamingYieldsExactlyTheVcOnlySetup) {
+  auto cfg = base_config();
+  cfg.vc_only = true;
+  cfg.params.n_voters = 6;
+  const ea::SetupArtifacts whole = ea::ea_setup(cfg);
+  std::vector<Ballot> ballots;
+  std::vector<std::vector<VcBallotInit>> per_vc(cfg.params.n_vc);
+  const ea::SetupArtifacts streamed = ea::ea_setup_streaming(
+      cfg, [&](const Ballot& b, std::span<VcBallotInit> vc) {
+        ballots.push_back(b);
+        for (std::size_t i = 0; i < vc.size(); ++i) per_vc[i].push_back(vc[i]);
+      });
+
+  ASSERT_EQ(ballots.size(), whole.voter_ballots.size());
+  for (std::size_t b = 0; b < ballots.size(); ++b) {
+    EXPECT_EQ(ballots[b].serial, whole.voter_ballots[b].serial);
+    for (std::size_t part = 0; part < kNumParts; ++part) {
+      const auto& got = ballots[b].parts[part].lines;
+      const auto& want = whole.voter_ballots[b].parts[part].lines;
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t l = 0; l < got.size(); ++l) {
+        EXPECT_EQ(got[l].vote_code, want[l].vote_code) << "ballot " << b;
+        EXPECT_EQ(got[l].option, want[l].option);
+        EXPECT_EQ(got[l].receipt, want[l].receipt) << "ballot " << b;
+      }
+    }
+  }
+  ASSERT_EQ(streamed.vc_inits.size(), whole.vc_inits.size());
+  EXPECT_TRUE(streamed.bb_inits.empty());
+  EXPECT_TRUE(streamed.trustee_inits.empty());
+  auto encode_all = [](const std::vector<VcBallotInit>& v) {
+    Writer w;
+    for (const auto& b : v) b.encode(w);
+    return w.take();
+  };
+  for (std::size_t i = 0; i < whole.vc_inits.size(); ++i) {
+    const VcInit& got = streamed.vc_inits[i];
+    const VcInit& want = whole.vc_inits[i];
+    EXPECT_TRUE(got.ballots.empty());
+    EXPECT_EQ(encode_all(per_vc[i]), encode_all(want.ballots)) << "vc" << i;
+    EXPECT_EQ(got.signing_key, want.signing_key);
+    EXPECT_EQ(got.vc_public_keys, want.vc_public_keys);
+    EXPECT_EQ(got.msk_share_root, want.msk_share_root);
+    EXPECT_EQ(got.coin_roots, want.coin_roots);
+  }
+}
+
 TEST(Auditor, FailsClosedWithoutMajority) {
   // An auditor over an empty BB view must fail, not pass vacuously.
   client::MajorityReader reader({}, 1);

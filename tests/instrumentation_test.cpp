@@ -56,12 +56,12 @@ TEST(Instrumentation, ReportCountersDeterministicPerSeed) {
 }
 
 TEST(Instrumentation, CountsInvariantUnderShardingKnob) {
-  // vc_shards = 1 must be the same election as the untouched default: the
-  // dispatch refactors keep shards=1 bit-identical to the unsharded node,
-  // so every accounting counter matches exactly.
+  // vc_options.n_shards = 1 must be the same election as the untouched
+  // default: the dispatch refactors keep shards=1 bit-identical to the
+  // unsharded node, so every accounting counter matches exactly.
   DriverConfig base = small_election(21);
   DriverConfig sharded1 = small_election(21);
-  sharded1.vc_shards = 1;
+  sharded1.vc_options.n_shards = 1;
   ElectionDriver a(base), b(sharded1);
   ElectionReport ra = a.run(), rb = b.run();
   ASSERT_TRUE(ra.completed);

@@ -6,6 +6,10 @@
 // Also pins down simulator determinism: a fixed seed reproduces
 // bit-identical tallies and phase timings across runs.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <limits>
 
 #include "core/driver.hpp"
 #include "core/tcp_launcher.hpp"
@@ -118,7 +122,101 @@ TEST(RuntimeParity, SameElectionAcrossProcessesOnTcp) {
   EXPECT_GT(tcp_report.process_accounting[0].frames_sent, 0u);
 }
 
-// The same election with intra-node VC sharding (vc_shards = 4): the
+// The VC-only cluster shape the cast benchmarks run, with a WAL on every
+// VC: 20 targets picked from a streamed vc_only setup, cast by a
+// ClosedLoopClient on TCP (one OS process per VC, each rebuilding its own
+// ballot slice with the streaming EA through build_protocol_nodes) and on
+// ThreadNet (the same builder over ea_setup's vc_only artifacts). Every
+// cast must come back with its printed receipt on both hosts.
+TEST(RuntimeParity, CollectionOnlyClusterOnTcpAndThreads) {
+  ElectionParams p = parity_params();
+  p.n_voters = 20;
+  p.t_end = std::numeric_limits<std::int64_t>::max() / 4;  // polls stay open
+  const std::uint64_t seed = 4711;
+  crypto::Rng pick(seed);
+  std::vector<VoteTarget> targets;
+  ea::SetupArtifacts streamed = ea::ea_setup_streaming(
+      {p, seed, /*vc_only=*/true},
+      [&](const Ballot& b, std::span<VcBallotInit>) {
+        std::size_t part = pick.below(kNumParts), opt = pick.below(p.m());
+        const BallotLine& line = b.parts[part].lines[opt];
+        targets.push_back(
+            VoteTarget{b.serial, line.vote_code, line.receipt, opt});
+      });
+  auto fresh_dir = [](const std::string& tag) {
+    auto dir = std::filesystem::temp_directory_path() /
+               ("runtime_parity_" + tag + "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir.string();
+  };
+  sim::RunOptions opts;
+  opts.wall_timeout_us = scaled(60'000'000);
+  DriverConfig cfg;
+  cfg.params = p;
+  cfg.seed = seed;
+
+  // ThreadNet: vc_only artifacts give VCs 0..Nv-1 and nothing else.
+  cfg.durability.wal_dir = fresh_dir("threads");
+  {
+    net::ThreadNet net;
+    ElectionTopology topo = build_protocol_nodes(
+        net, ea::ea_setup({p, seed, /*vc_only=*/true}), cfg);
+    EXPECT_EQ(topo.vc_ids, (std::vector<sim::NodeId>{0, 1, 2, 3}));
+    EXPECT_TRUE(topo.bb_ids.empty());
+    EXPECT_TRUE(topo.trustee_ids.empty());
+    ASSERT_EQ(net.node_count(), p.n_vc);
+    sim::NodeId id = net.add_node(
+        std::make_unique<ClosedLoopClient>(targets, topo.vc_ids, 4, seed),
+        "loadgen");
+    auto& client = dynamic_cast<ClosedLoopClient&>(net.process(id));
+    ASSERT_TRUE(net.run_to_quiescence([&] { return client.done(); }, opts));
+    net.stop();
+    EXPECT_EQ(client.completed(), targets.size());
+    EXPECT_EQ(client.rejected(), 0u);
+  }
+  std::filesystem::remove_all(cfg.durability.wal_dir);
+
+  // TCP: the launcher registers the remote VCs through the same builder.
+  TcpClusterSpec spec;
+  spec.params = p;
+  spec.seed = seed;
+  spec.vc_only = true;
+  spec.collection_only = true;
+  spec.durability.wal_dir = fresh_dir("tcp");
+  TcpLauncher launcher(spec);
+  launcher.launch();
+  ElectionTopology topo = build_protocol_nodes(launcher.net(), streamed, cfg);
+  EXPECT_EQ(topo.vc_ids, (std::vector<sim::NodeId>{0, 1, 2, 3}));
+  sim::NodeId id = launcher.net().add_node(
+      std::make_unique<ClosedLoopClient>(targets, topo.vc_ids, 4, seed),
+      "loadgen");
+  auto& client = dynamic_cast<ClosedLoopClient&>(launcher.net().process(id));
+  launcher.go();
+  ASSERT_TRUE(launcher.net().run_to_quiescence(
+      [&] { return client.done(); }, opts));
+  std::vector<TcpProcessReport> reports = launcher.stop_cluster();
+  EXPECT_EQ(client.completed(), targets.size());
+  EXPECT_EQ(client.rejected(), 0u);
+  ASSERT_EQ(reports.size(), p.n_vc);
+  std::uint64_t receipts = 0;
+  for (const TcpProcessReport& rep : reports) {
+    ASSERT_EQ(rep.nodes.size(), 1u);
+    EXPECT_EQ(rep.nodes[0].vc_stats.rejected_votes, 0u);
+    receipts += rep.nodes[0].vc_stats.receipts_issued;
+  }
+  EXPECT_EQ(receipts, targets.size());
+  // Every VC process logged its casts.
+  for (std::size_t i = 0; i < p.n_vc; ++i) {
+    EXPECT_GT(std::filesystem::file_size(spec.durability.wal_path(
+                  "vc" + std::to_string(i))),
+              0u)
+        << "vc" << i;
+  }
+  std::filesystem::remove_all(spec.durability.wal_dir);
+}
+
+// The same election with intra-node VC sharding (n_shards = 4): the
 // deterministic simulator (one virtual processor per shard) and ThreadNet
 // (one worker thread per shard, shard-affine dispatch) agree on tallies,
 // receipts, the agreed vote set, and the per-shard stats. Structural
@@ -132,7 +230,7 @@ TEST(RuntimeParity, SameElectionAcrossProcessesOnTcp) {
 TEST(RuntimeParity, ShardedElectionAgreesAcrossBackends) {
   ElectionParams p = parity_params();
   DriverConfig cfg = parity_config(p);
-  cfg.vc_shards = 4;
+  cfg.vc_options.n_shards = 4;
   // Keep patience just under the voting window: a slow (loaded) host then
   // delays receipts instead of triggering mid-window resubmissions.
   cfg.voter_template.patience_us = scaled(1'300'000);

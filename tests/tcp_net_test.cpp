@@ -102,9 +102,8 @@ core::TcpClusterSpec sample_spec() {
   spec.params.h_trustees = 2;
   spec.params.t_end = 1'500'000;
   spec.seed = 77;
+  spec.vc_only = true;
   spec.collection_only = true;
-  spec.consensus_rounds = 9;
-  spec.vc_shards = 3;
   spec.vc_options.model_signatures = true;
   spec.vc_options.sign_cost_us = 11;
   spec.vc_options.n_shards = 2;
@@ -125,8 +124,8 @@ TEST(TcpControlCodec, ClusterSpecRoundTripAndTruncation) {
   EXPECT_EQ(back.params.election_id, spec.params.election_id);
   EXPECT_EQ(back.params.options, spec.params.options);
   EXPECT_EQ(back.seed, 77u);
+  EXPECT_TRUE(back.vc_only);
   EXPECT_TRUE(back.collection_only);
-  EXPECT_EQ(back.vc_shards, 3u);
   EXPECT_EQ(back.vc_options.n_shards, 2u);
   EXPECT_EQ(back.durability.wal_dir, "wal-dir");
   EXPECT_EQ(back.durability.fsync, store::FsyncPolicy::kAlways);
@@ -143,6 +142,19 @@ TEST(TcpControlCodec, ClusterSpecRejectsUnknownFsyncPolicy) {
   fsync = 3;
   Reader r(wire);
   EXPECT_THROW(core::TcpClusterSpec::decode(r), CodecError);
+}
+
+// vc_only artifacts carry no BB or trustee data, so a full cluster over
+// them has nothing to build, and a VC-only cluster rebuilds from the
+// streaming (vc_only) EA. The constructor refuses a mix before binding any
+// socket or forking any child.
+TEST(TcpLauncherSpec, VcOnlyAndCollectionOnlyMustAgree) {
+  core::TcpClusterSpec spec = sample_spec();  // both set
+  spec.collection_only = false;
+  EXPECT_THROW(core::TcpLauncher{spec}, ProtocolError);
+  spec.vc_only = false;
+  spec.collection_only = true;
+  EXPECT_THROW(core::TcpLauncher{spec}, ProtocolError);
 }
 
 TEST(TcpControlCodec, ProcessReportRoundTripAndTruncation) {

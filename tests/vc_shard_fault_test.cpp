@@ -60,7 +60,7 @@ Outcome run_cell(const Scenario& sc, std::size_t shards,
   DriverConfig cfg;
   cfg.params = fault_params();
   cfg.seed = 60'001;
-  cfg.vc_shards = shards;
+  cfg.vc_options.n_shards = shards;
   cfg.artifacts = arts;
   cfg.workload = VoteListWorkload::make(
       {0, 1, 0, 1, 1},

@@ -61,7 +61,7 @@ TEST(ShardMapping, TotalStableAndInterleaved) {
   DriverConfig cfg;
   cfg.params = shard_params(9);
   cfg.seed = 41;
-  cfg.vc_shards = 4;
+  cfg.vc_options.n_shards = 4;
   cfg.workload = VoteListWorkload::make({0, 1, 0, 1, 0, 1, 0, 1, 0});
   ElectionDriver driver(cfg);
   const vc::VcNode& node = driver.vc_node(0);
@@ -99,9 +99,9 @@ TEST(ShardParity, OneShardIsBitIdenticalToDefault) {
     cfg.workload = VoteListWorkload::make({0, 1, 1, 0, 0, 1});
     return cfg;
   };
-  DriverConfig legacy = make_cfg();  // vc_shards defaulted (1)
+  DriverConfig legacy = make_cfg();  // n_shards defaulted (1)
   DriverConfig explicit_one = make_cfg();
-  explicit_one.vc_shards = 1;
+  explicit_one.vc_options.n_shards = 1;
   Trace a = run_traced(legacy);
   Trace b = run_traced(explicit_one);
   EXPECT_EQ(a.tally, (std::vector<std::uint64_t>{3, 3}));
@@ -118,7 +118,7 @@ TEST(ShardParity, ShardedRunIsDeterministic) {
     DriverConfig cfg;
     cfg.params = shard_params(8);
     cfg.seed = 515;
-    cfg.vc_shards = 4;
+    cfg.vc_options.n_shards = 4;
     cfg.workload = RandomWorkload::make(99, 0.1);
     return cfg;
   };
@@ -143,7 +143,7 @@ TEST(ShardParity, BoundarySerialsMatchUnsharded) {
     DriverConfig cfg;
     cfg.params = p;
     cfg.seed = 77;
-    cfg.vc_shards = shards;
+    cfg.vc_options.n_shards = shards;
     cfg.artifacts = arts;
     cfg.workload = VoteListWorkload::make({0, 1, 0, 1, 0, 1, 0, 1, 0});
     ElectionDriver driver(cfg);
@@ -173,7 +173,7 @@ TEST(ShardParity, TallyInvariantAcrossShardCounts) {
     DriverConfig cfg;
     cfg.params = p;
     cfg.seed = 1001;
-    cfg.vc_shards = shards;
+    cfg.vc_options.n_shards = shards;
     cfg.artifacts = arts;
     // Seeded-random workload with abstentions: same intent stream for
     // every shard count.

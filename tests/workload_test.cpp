@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "core/driver.hpp"
+#include "core/messages.hpp"
 #include "util/error.hpp"
 
 namespace ddemos::core {
@@ -125,6 +126,49 @@ TEST(Workload, ClosedLoopCompletesEveryCast) {
   EXPECT_EQ(sum, 6u);
   EXPECT_EQ(r.tally, r.expected_tally);
   EXPECT_GT(driver.load_client()->mean_latency_us(), 0.0);
+}
+
+// A stand-in vote collector that answers every cast with kOk and the
+// receipt `receipt_of(serial)`, right or wrong.
+class ReceiptEcho final : public sim::Process {
+ public:
+  explicit ReceiptEcho(std::function<std::uint64_t(Serial)> receipt_of)
+      : receipt_of_(std::move(receipt_of)) {}
+  void on_message(sim::NodeId from, const net::Buffer& payload) override {
+    Reader r(payload.view());
+    if (static_cast<MsgType>(r.u8()) != MsgType::kVote) return;
+    VoteMsg vote = VoteMsg::decode(r);
+    ctx().send(from, VoteReplyMsg{vote.serial, VoteReplyStatus::kOk,
+                                  receipt_of_(vote.serial)}
+                         .encode());
+  }
+
+ private:
+  std::function<std::uint64_t(Serial)> receipt_of_;
+};
+
+TEST(Workload, ClosedLoopCountsWrongReceiptAsRejected) {
+  // Printed receipt of serial s is 100 + s; the collector gets serial 2's
+  // wrong. That cast must not count as completed (nor toward the tally).
+  std::vector<VoteTarget> targets;
+  for (Serial s = 1; s <= 4; ++s) {
+    targets.push_back(VoteTarget{s, to_bytes("code"), 100 + s, s % 2});
+  }
+  sim::Simulation sim(5);
+  sim::NodeId vc = sim.add_node(
+      std::make_unique<ReceiptEcho>(
+          [](Serial s) -> std::uint64_t { return s == 2 ? 7 : 100 + s; }),
+      "vc0");
+  sim::NodeId id = sim.add_node(
+      std::make_unique<ClosedLoopClient>(targets, std::vector{vc}, 2, 9),
+      "loadgen");
+  const auto& client = dynamic_cast<const ClosedLoopClient&>(sim.process(id));
+  ASSERT_TRUE(sim.run_to_quiescence([&] { return client.done(); }, {}));
+  EXPECT_EQ(client.completed(), 3u);
+  EXPECT_EQ(client.rejected(), 1u);
+  // Serial 2 (option 0) is the rejected one: serials 1, 3, 4 cast options
+  // 1, 1, 0.
+  EXPECT_EQ(client.completed_by_option(2), (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(Workload, DiskTraceRoundTripDrivesElection) {

@@ -94,7 +94,7 @@ int run_launch(int argc, char** argv) {
   core::DriverConfig cfg;
   cfg.params = p;
   cfg.seed = seed;
-  cfg.vc_shards = shards;
+  cfg.vc_options.n_shards = shards;
   cfg.voter_template.patience_us = scaled(400'000);
   cfg.trustee_options.poll_interval_us = scaled(100'000);
   cfg.wall_timeout_us = timeout_s * 1'000'000;
