@@ -53,10 +53,10 @@ struct DriverConfig {
   // votes, option = slot % m, casts spread over the window).
   std::shared_ptr<Workload> workload;
   // Every VC node's options. vc_options.n_shards is the intra-node worker
-  // shard count: 1 = the legacy serial node; > 1 partitions each node's
-  // serial range across shards — one worker thread per shard on ThreadNet,
-  // one virtual processor per shard on the simulator — and requires
-  // contiguous serials (the EA default).
+  // shard count: each node's serial range is partitioned across that many
+  // shards — one worker thread per shard on ThreadNet, one virtual
+  // processor per shard on the simulator. Every count requires contiguous
+  // serials (the EA default).
   vc::VcNode::Options vc_options;
   client::Voter::Config voter_template;  // patience etc. (ballot filled in)
   // Indices of nodes to crash before start (simulator backend only).

@@ -220,10 +220,6 @@ void TcpClusterSpec::encode(Writer& w) const {
   w.boolean(vc_options.model_signatures);
   w.u64(static_cast<std::uint64_t>(vc_options.sign_cost_us));
   w.u64(static_cast<std::uint64_t>(vc_options.verify_cost_us));
-  w.u64(static_cast<std::uint64_t>(vc_options.base_handler_cost_us));
-  w.varint(vc_options.announce_chunk);
-  w.varint(vc_options.push_chunk);
-  w.u64(static_cast<std::uint64_t>(vc_options.recover_retry_us));
   w.u64(static_cast<std::uint64_t>(vc_options.page_fault_cost_us));
   w.varint(vc_options.n_shards);
   w.u64(static_cast<std::uint64_t>(trustee_options.poll_interval_us));
@@ -241,10 +237,6 @@ TcpClusterSpec TcpClusterSpec::decode(Reader& r) {
   s.vc_options.model_signatures = r.boolean();
   s.vc_options.sign_cost_us = static_cast<sim::Duration>(r.u64());
   s.vc_options.verify_cost_us = static_cast<sim::Duration>(r.u64());
-  s.vc_options.base_handler_cost_us = static_cast<sim::Duration>(r.u64());
-  s.vc_options.announce_chunk = static_cast<std::size_t>(r.varint());
-  s.vc_options.push_chunk = static_cast<std::size_t>(r.varint());
-  s.vc_options.recover_retry_us = static_cast<sim::Duration>(r.u64());
   s.vc_options.page_fault_cost_us = static_cast<sim::Duration>(r.u64());
   s.vc_options.n_shards = static_cast<std::size_t>(r.varint());
   s.trustee_options.poll_interval_us = static_cast<sim::Duration>(r.u64());

@@ -13,6 +13,11 @@ using namespace core;
 using sim::NodeId;
 
 namespace {
+// ANNOUNCE and BB-push entries per message, and the RECOVER retry period.
+constexpr std::size_t kAnnounceChunk = 2048;
+constexpr std::size_t kPushChunk = 2048;
+constexpr sim::Duration kRecoverRetryUs = 500'000;
+
 net::Buffer encode_shard_drain(std::size_t shard) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(MsgType::kShardDrain));
@@ -44,17 +49,15 @@ VcNode::VcNode(VcInit init, std::shared_ptr<store::BallotDataSource> source,
   n_ballots_ = source_->size();
   if (n_ballots_ > 0) {
     first_serial_ = source_->serial_at(0);
-    contiguous_serials_ =
-        source_->serial_at(n_ballots_ - 1) == first_serial_ + n_ballots_ - 1;
-  }
-  if (opt_.n_shards > 1 && n_ballots_ > 0 && !contiguous_serials_) {
     // Shard routing runs on sender threads and must map serial -> shard in
-    // O(1) without touching the (stateful) ballot source; a gapped serial
-    // set would force the index-lookup fallback there and silently corrupt
-    // shard ownership. Refuse loudly instead.
-    throw ProtocolError(
-        "VcNode: sharded vote collection (n_shards > 1) requires contiguous "
-        "serials; this ballot source has gaps — run with n_shards = 1");
+    // O(1) without touching the (stateful) ballot source, and the dense
+    // state vectors are indexed by serial - first serial. Refuse a gapped
+    // serial set loudly instead of mis-addressing ballots.
+    if (source_->serial_at(n_ballots_ - 1) != first_serial_ + n_ballots_ - 1) {
+      throw ProtocolError(
+          "VcNode: vote collection requires contiguous serials; this ballot "
+          "source has gaps");
+    }
   }
   states_.resize(n_ballots_);
   endorse_states_.resize(n_ballots_);
@@ -214,13 +217,9 @@ void VcNode::on_start() {
 }
 
 std::size_t VcNode::shard_of_serial(Serial serial) const {
-  if (opt_.n_shards == 1) return 0;
-  // Contiguity is enforced at construction, so this never consults the
-  // ballot source (instance_of's fallback is not sender-thread safe).
-  if (serial < first_serial_ || serial >= first_serial_ + n_ballots_) {
-    return 0;  // unknown serial: rejected on the control shard
-  }
-  return static_cast<std::size_t>(serial - first_serial_) % opt_.n_shards;
+  auto inst = instance_of(serial);
+  // Unknown serial: rejected on the control shard.
+  return inst ? *inst % opt_.n_shards : 0;
 }
 
 std::size_t VcNode::shard_after_type(MsgType type, Reader r) const {
@@ -244,7 +243,6 @@ std::size_t VcNode::shard_after_type(MsgType type, Reader r) const {
 
 std::size_t VcNode::shard_of(NodeId /*from*/,
                              const net::Buffer& payload) const {
-  if (opt_.n_shards == 1) return 0;
   try {
     Reader r(payload.view());
     auto type = static_cast<MsgType>(r.u8());
@@ -271,18 +269,10 @@ bool VcNode::within_hours() const {
 }
 
 std::optional<std::size_t> VcNode::instance_of(Serial serial) const {
-  if (contiguous_serials_) {
-    if (serial < first_serial_ || serial >= first_serial_ + n_ballots_) {
-      return std::nullopt;
-    }
-    return static_cast<std::size_t>(serial - first_serial_);
+  if (serial < first_serial_ || serial >= first_serial_ + n_ballots_) {
+    return std::nullopt;
   }
-  return source_->index_of(serial);
-}
-
-Serial VcNode::serial_of(std::size_t instance) {
-  return contiguous_serials_ ? first_serial_ + instance
-                             : source_->serial_at(instance);
+  return static_cast<std::size_t>(serial - first_serial_);
 }
 
 VcStats VcNode::stats() const {
@@ -367,16 +357,13 @@ std::optional<VcBallotInit> VcNode::find_ballot(Serial serial) {
 }
 
 void VcNode::on_message(NodeId from, const net::Buffer& payload) {
-  ctx().charge(opt_.base_handler_cost_us);
   try {
     Reader r(payload.view());
     auto type = static_cast<MsgType>(r.u8());
     // on_message is already running on the shard this payload routes to;
     // recompute the slot for the bookkeeping (one u64 peek, the type byte
     // is already parsed; Reader is passed by value so r stays positioned).
-    std::size_t shard =
-        opt_.n_shards == 1 ? 0 : shard_after_type(type, r);
-    ++shard_slots_[shard].stats.handled_messages;
+    ++shard_slots_[shard_after_type(type, r)].stats.handled_messages;
     switch (type) {
       case MsgType::kVote:
         handle_vote(from, r);
@@ -650,20 +637,14 @@ void VcNode::complete_vote(Serial serial, BallotState& st) {
 
 void VcNode::on_timer(std::uint64_t token) {
   if (token == end_timer_ && phase_ == Phase::kVoting) {
-    if (opt_.n_shards == 1) {
-      // Legacy single-processor path: no barrier round trip, bit-for-bit
-      // the pre-sharding behavior.
-      begin_vote_set_consensus();
-    } else {
-      start_shard_drain();
-    }
+    start_shard_drain();
   } else if (token == recover_timer_ && phase_ == Phase::kRecovery) {
     send_recover_request();  // retry lost requests
   }
 }
 
 // --- Shard fan-in barrier ---------------------------------------------------
-// Election end, sharded: flip the phase so per-ballot handlers reject from
+// Election end: flip the phase so per-ballot handlers reject from
 // here on, then post one drain loopback per shard. Shard mailboxes are
 // FIFO, so by the time shard k handles its drain, every voting-phase
 // handler enqueued to k before election end has retired; the shard that
@@ -698,8 +679,7 @@ void VcNode::handle_shard_barrier(NodeId from, Reader&) {
   if (phase_ != Phase::kDraining) return;
   // All shards quiesced: the control shard may now read and mutate every
   // slice. Adopt the certified entries buffered during voting/draining
-  // first so they make it into our announce and consensus input — the
-  // unsharded path adopts them on arrival.
+  // first so they make it into our announce and consensus input.
   for (const AnnounceEntry& e : pending_adopts_) adopt_entry(e);
   pending_adopts_.clear();
   begin_vote_set_consensus();
@@ -714,24 +694,11 @@ void VcNode::begin_vote_set_consensus() {
   // snapshot (the announce scan below reads exactly this state).
   wal_snapshot_state();
 
-  // ANNOUNCE: disperse every certified vote code we know. The state table
-  // is dense by instance index, so this is one linear scan.
-  std::vector<AnnounceEntry> entries;
-  for (std::size_t i = 0; i < n_ballots_; ++i) {
-    const BallotState& st = states_[i];
-    if (st.status == BallotStatus::kNotVoted || st.ucert.signatures.empty()) {
-      continue;
-    }
-    AnnounceEntry e;
-    e.instance = i;
-    e.vote_code = st.code;
-    e.ucert = st.ucert;
-    entries.push_back(std::move(e));
-  }
-  for (std::size_t off = 0; off < entries.size();
-       off += opt_.announce_chunk) {
+  // ANNOUNCE: disperse every certified vote code we know.
+  std::vector<AnnounceEntry> entries = certified_entries(nullptr);
+  for (std::size_t off = 0; off < entries.size(); off += kAnnounceChunk) {
     AnnounceMsg msg;
-    std::size_t end = std::min(entries.size(), off + opt_.announce_chunk);
+    std::size_t end = std::min(entries.size(), off + kAnnounceChunk);
     msg.entries.assign(entries.begin() + static_cast<std::ptrdiff_t>(off),
                        entries.begin() + static_cast<std::ptrdiff_t>(end));
     msg.last_chunk = end == entries.size();
@@ -761,13 +728,10 @@ void VcNode::handle_announce(NodeId from, Reader& r) {
   auto sender = vc_index_of(from);
   if (!sender) return;
   // Announces from faster peers may arrive while we are still in the
-  // voting phase (bounded clock drift); certified entries are safe to
-  // adopt at any time on the unsharded path. Sharded, adoption would
-  // mutate slices other shards are still voting on, so entries are
-  // buffered until the fan-in barrier hands the control shard exclusive
-  // ownership.
-  if (opt_.n_shards > 1 &&
-      (phase_ == Phase::kVoting || phase_ == Phase::kDraining)) {
+  // voting phase (bounded clock drift). Adoption then would mutate slices
+  // shards are still voting on, so entries are buffered until the fan-in
+  // barrier hands the control shard exclusive ownership.
+  if (phase_ == Phase::kVoting || phase_ == Phase::kDraining) {
     for (AnnounceEntry& e : m.entries) pending_adopts_.push_back(std::move(e));
   } else {
     for (const AnnounceEntry& e : m.entries) adopt_entry(e);
@@ -780,7 +744,7 @@ void VcNode::handle_announce(NodeId from, Reader& r) {
 
 void VcNode::adopt_entry(const AnnounceEntry& e) {
   if (e.instance >= n_ballots_) return;
-  Serial serial = serial_of(e.instance);
+  Serial serial = first_serial_ + e.instance;
   BallotState& st = state_at(e.instance);
   if (st.status != BallotStatus::kNotVoted) return;  // already known
   if (e.ucert.vote_code != e.vote_code) return;
@@ -843,36 +807,35 @@ void VcNode::on_consensus_complete() {
   }
 }
 
+std::vector<AnnounceEntry> VcNode::certified_entries(const Bitmap* only) const {
+  // The state table is dense by instance index: one linear scan.
+  std::vector<AnnounceEntry> entries;
+  for (std::size_t i = 0; i < n_ballots_; ++i) {
+    if (only && !only->get(i)) continue;
+    const BallotState& st = states_[i];
+    if (st.status == BallotStatus::kNotVoted || st.ucert.signatures.empty()) {
+      continue;
+    }
+    entries.push_back(AnnounceEntry{i, st.code, st.ucert});
+  }
+  return entries;
+}
+
 void VcNode::send_recover_request() {
   if (!recover_needed_.any()) return;
   multicast_vc(RecoverRequestMsg{recover_needed_}.encode());
-  recover_timer_ = ctx().set_timer(opt_.recover_retry_us);
+  recover_timer_ = ctx().set_timer(kRecoverRetryUs);
 }
 
 void VcNode::handle_recover_request(NodeId from, Reader& r) {
   RecoverRequestMsg m = RecoverRequestMsg::decode(r);
   if (!vc_index_of(from)) return;
   if (m.instances.size() != n_ballots_) return;
-  // Sharded and still voting: answering would scan slices other shards
-  // are mutating. Drop — the requesting peer retries on its recover timer
-  // and will be answered once this node passes its own barrier.
-  if (opt_.n_shards > 1 &&
-      (phase_ == Phase::kVoting || phase_ == Phase::kDraining)) {
-    return;
-  }
-  RecoverResponseMsg resp;
-  for (std::size_t i = 0; i < m.instances.size(); ++i) {
-    if (!m.instances.get(i)) continue;
-    const BallotState& st = states_[i];
-    if (st.status == BallotStatus::kNotVoted || st.ucert.signatures.empty()) {
-      continue;
-    }
-    AnnounceEntry e;
-    e.instance = i;
-    e.vote_code = st.code;
-    e.ucert = st.ucert;
-    resp.entries.push_back(std::move(e));
-  }
+  // Still voting: answering would scan slices shards are mutating. Drop —
+  // the requesting peer retries on its recover timer and will be answered
+  // once this node passes its own barrier.
+  if (phase_ == Phase::kVoting || phase_ == Phase::kDraining) return;
+  RecoverResponseMsg resp{certified_entries(&m.instances)};
   if (!resp.entries.empty()) ctx().send(from, resp.encode());
 }
 
@@ -909,16 +872,15 @@ void VcNode::push_to_bb() {
   final_set_.clear();
   for (std::size_t i = 0; i < decisions_.size(); ++i) {
     if (!decisions_.get(i)) continue;
-    final_set_.push_back(VoteSetEntry{serial_of(i), states_[i].code});
+    final_set_.push_back(VoteSetEntry{first_serial_ + i, states_[i].code});
   }
   // Entries are in ascending serial order by construction.
   crypto::Hash32 h = vote_set_hash(final_set_);
   // Pre-encode every BB message once; the per-BB loop only copies handles.
   std::vector<net::Buffer> chunks;
-  for (std::size_t off = 0; off < final_set_.size();
-       off += opt_.push_chunk) {
+  for (std::size_t off = 0; off < final_set_.size(); off += kPushChunk) {
     VoteSetChunkMsg chunk;
-    std::size_t end = std::min(final_set_.size(), off + opt_.push_chunk);
+    std::size_t end = std::min(final_set_.size(), off + kPushChunk);
     chunk.entries.assign(
         final_set_.begin() + static_cast<std::ptrdiff_t>(off),
         final_set_.begin() + static_cast<std::ptrdiff_t>(end));

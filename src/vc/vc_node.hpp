@@ -7,8 +7,8 @@
 //    decided "voted" whose certified code this node lacks;
 //  * the final push of the agreed vote set and the msk key share to the BBs.
 //
-// Intra-node sharding (Options::n_shards > 1): the contiguous serial range
-// is partitioned across shards by interleaving — shard(serial) =
+// Intra-node sharding (Options::n_shards): the contiguous serial range is
+// partitioned across shards by interleaving — shard(serial) =
 // instance % n_shards, where instance = serial - first_serial — so a
 // serial-ordered casting burst spreads evenly instead of landing on one
 // shard (contiguous blocks would). Each shard exclusively owns its slice
@@ -23,7 +23,8 @@
 // retired, and the last drain releases the control shard (kShardBarrier)
 // into the announce scan over all slices. Certified ANNOUNCE entries that
 // arrive from faster peers before the barrier are buffered and adopted at
-// the barrier instead of mutating foreign shard slices mid-vote.
+// the barrier; RECOVER requests that arrive before it are dropped (the
+// requester retries). One shard is the same sequence with a single slice.
 #pragma once
 
 #include <atomic>
@@ -55,7 +56,7 @@ enum class BallotStatus : std::uint8_t { kNotVoted, kPending, kVoted };
 
 enum class Phase : std::uint8_t {
   kVoting,
-  kDraining,  // sharded only: election ended, shard fan-in in flight
+  kDraining,  // election ended, shard fan-in in flight
   kAnnounce,
   kConsensus,
   kRecovery,
@@ -92,18 +93,12 @@ struct VcOptions {
   bool model_signatures = false;
   sim::Duration sign_cost_us = 0;
   sim::Duration verify_cost_us = 0;
-  // Extra modeled CPU per handled message (serialization, syscalls).
-  sim::Duration base_handler_cost_us = 0;
-  std::size_t announce_chunk = 2048;
-  std::size_t push_chunk = 2048;
-  sim::Duration recover_retry_us = 500'000;
   // Modeled storage latency charged per ballot-store page fault (0 = off).
   sim::Duration page_fault_cost_us = 0;
   // Intra-node worker shards over the serial range (see file comment).
-  // 1 (the default) takes the legacy single-processor code path
-  // bit-for-bit; > 1 requires contiguous serials (the EA default) and is
-  // rejected with ProtocolError otherwise — the fallback index lookup is
-  // neither O(1) nor thread-safe enough for sender-side shard routing.
+  // Every count runs the same drain/barrier state machine and requires
+  // contiguous serials (the EA default); a gapped ballot source is
+  // rejected with ProtocolError at construction.
   std::size_t n_shards = 1;
 };
 
@@ -195,6 +190,10 @@ class VcNode final : public sim::ShardedProcess {
   void adopt_entry(const core::AnnounceEntry& e);
   void maybe_start_consensus();
   void on_consensus_complete();
+  // Certified (code + UCERT) entries of every known ballot, restricted to
+  // the instances set in `only` when given: the ANNOUNCE and
+  // RECOVER_RESPONSE payloads.
+  std::vector<core::AnnounceEntry> certified_entries(const Bitmap* only) const;
   void handle_recover_request(sim::NodeId from, Reader& r);
   void handle_recover_response(sim::NodeId from, Reader& r);
   void send_recover_request();
@@ -241,11 +240,9 @@ class VcNode final : public sim::ShardedProcess {
                             std::span<const crypto::Hash32> path);
   bool verify_ucert(core::Serial serial, const core::Ucert& ucert);
   Bytes sign_endorsement(core::Serial serial, BytesView code);
-  // Dense ballot index for a registered serial (nullopt if unknown). O(1)
-  // when the EA issued contiguous serials (the default); falls back to the
-  // source's index lookup otherwise.
+  // Dense ballot index for a registered serial (nullopt if unknown); O(1)
+  // because serials are contiguous (checked at construction).
   std::optional<std::size_t> instance_of(core::Serial serial) const;
-  core::Serial serial_of(std::size_t instance);
   BallotState& state_at(std::size_t instance) { return states_[instance]; }
   // Store lookup with modeled storage latency per page fault.
   std::optional<core::VcBallotInit> find_ballot(core::Serial serial);
@@ -267,11 +264,10 @@ class VcNode final : public sim::ShardedProcess {
   std::vector<EndorseState> endorse_states_;
   std::size_t n_ballots_ = 0;
   core::Serial first_serial_ = 0;
-  bool contiguous_serials_ = false;
   std::uint64_t end_timer_ = 0;
   std::uint64_t recover_timer_ = 0;
 
-  // Shard fan-in barrier state (n_shards > 1 only).
+  // Shard fan-in barrier state.
   std::atomic<std::size_t> drained_{0};
   // Certified announce entries from faster peers, buffered while shards
   // may still be voting; adopted by the control shard at the barrier.

@@ -331,12 +331,15 @@ TEST(TcpNet, LoopbackDeliveryAcrossProcesses) {
   ASSERT_TRUE(c.a.run_to_quiescence([&] { return c.ping->done(); }, opts));
 
   EXPECT_EQ(c.echo->received(), kTotal);
+  // The writer threads count a frame only after write_frame returns, so
+  // the echo can complete the last ping before that count lands; stop()
+  // joins the writers, after which every counter is final.
+  c.a.stop();
+  c.b.stop();
   EXPECT_EQ(c.a.frames_dropped(), 0u);
   EXPECT_EQ(c.b.frames_dropped(), 0u);
   EXPECT_GE(c.a.frames_sent(), kTotal);
   EXPECT_GE(c.b.frames_received(), kTotal);
-  c.a.stop();
-  c.b.stop();
 }
 
 TEST(TcpNet, SeverredConnectionsRedialAndComplete) {

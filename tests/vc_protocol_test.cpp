@@ -239,6 +239,112 @@ TEST(VcProtocol, UcertValidationRules) {
                          init.vc_public_keys, 3));
 }
 
+// A scripted process at a VC id: at start it multicasts one ANNOUNCE with
+// pre-built certified entries to the real collectors, and after `vote_at`
+// it casts `vote` at node 0. It records what node 0 sends it.
+class ScriptedVc : public sim::Process {
+ public:
+  ScriptedVc(std::vector<sim::NodeId> peers, AnnounceMsg announce,
+             VoteMsg vote, sim::Duration vote_at)
+      : peers_(std::move(peers)),
+        announce_(std::move(announce)),
+        vote_(std::move(vote)),
+        vote_at_(vote_at) {}
+  void on_start() override {
+    net::Buffer msg = announce_.encode();
+    for (sim::NodeId id : peers_) ctx().send(id, msg);
+    ctx().set_timer(vote_at_);
+  }
+  void on_timer(std::uint64_t) override { ctx().send(0, vote_.encode()); }
+  void on_message(sim::NodeId from, const net::Buffer& payload) override {
+    if (from != 0) return;
+    Reader r(payload.view());
+    switch (static_cast<MsgType>(r.u8())) {
+      case MsgType::kEndorse:
+        endorsed.push_back(EndorseMsg::decode(r).serial);
+        break;
+      case MsgType::kAnnounce:
+        for (const AnnounceEntry& e : AnnounceMsg::decode(r).entries) {
+          announced.push_back(e.instance);
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  std::vector<Serial> endorsed;            // ENDORSE requests from node 0
+  std::vector<std::uint64_t> announced;    // node 0's ANNOUNCE instances
+
+ private:
+  std::vector<sim::NodeId> peers_;
+  AnnounceMsg announce_;
+  VoteMsg vote_;
+  sim::Duration vote_at_;
+};
+
+TEST(VcProtocol, EarlyAnnounceEntriesWaitForElectionEnd) {
+  // A peer's certified ANNOUNCE entries that arrive while a collector is
+  // still voting are adopted only at its own election end: until then the
+  // ballot is not voted there (a VOTE with that code starts the endorse
+  // round), and afterwards the entry is in the collector's ANNOUNCE and in
+  // its final vote set.
+  ElectionParams p = tiny_params(2);
+  ea::SetupArtifacts arts = ea::ea_setup({p, 99, false, 64});
+  const Serial first = arts.vc_inits[0].ballots.front().serial;
+  auto certified = [&](const Ballot& ballot, std::size_t part) {
+    AnnounceEntry e;
+    e.instance = ballot.serial - first;
+    e.vote_code = ballot.parts[part].lines[0].vote_code;
+    e.ucert.vote_code = e.vote_code;
+    Bytes digest = endorsement_digest(p.election_id, ballot.serial,
+                                      e.vote_code);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      e.ucert.signatures.push_back(
+          {i, crypto::schnorr_sign(arts.vc_inits[i].signing_key, digest)});
+    }
+    return e;
+  };
+  // Ballot 0's entry is also cast at node 0; ballot 1's is only announced.
+  const Ballot& cast = arts.voter_ballots[0];
+  const Ballot& announced_only = arts.voter_ballots[1];
+  AnnounceMsg early{{certified(cast, 0), certified(announced_only, 1)}, true};
+
+  sim::Simulation sim(5);
+  std::vector<sim::NodeId> vc_ids{0, 1, 2, 3};
+  std::vector<vc::VcNode*> nodes;
+  for (std::size_t i = 0; i < 3; ++i) {
+    auto node = std::make_unique<vc::VcNode>(
+        arts.vc_inits[i],
+        std::make_shared<store::MemoryBallotSource>(arts.vc_inits[i].ballots),
+        vc_ids, std::vector<sim::NodeId>{});
+    nodes.push_back(node.get());
+    ASSERT_EQ(sim.add_node(std::move(node), "vc" + std::to_string(i)), i);
+  }
+  auto scripted_owner = std::make_unique<ScriptedVc>(
+      std::vector<sim::NodeId>{0, 1, 2}, early,
+      VoteMsg{cast.serial, cast.parts[0].lines[0].vote_code}, 1'000'000);
+  ScriptedVc* scripted = scripted_owner.get();
+  ASSERT_EQ(sim.add_node(std::move(scripted_owner), "scripted"), 3u);
+
+  sim.start();
+  sim.run_until(p.t_end - 1);
+  EXPECT_EQ(nodes[0]->phase(), vc::Phase::kVoting);
+  EXPECT_EQ(scripted->endorsed, std::vector<Serial>{cast.serial});
+  EXPECT_TRUE(scripted->announced.empty());
+
+  sim.run_until_idle();
+  ASSERT_TRUE(nodes[0]->push_complete());
+  EXPECT_EQ(scripted->announced,
+            (std::vector<std::uint64_t>{cast.serial - first,
+                                        announced_only.serial - first}));
+  std::vector<VoteSetEntry> expected{
+      {cast.serial, cast.parts[0].lines[0].vote_code},
+      {announced_only.serial, announced_only.parts[1].lines[0].vote_code}};
+  for (const vc::VcNode* node : nodes) {
+    EXPECT_EQ(node->final_vote_set(), expected);
+  }
+}
+
 TEST(VcProtocol, ConcurrentVotersOnDifferentNodes) {
   // Many voters hammering different responders concurrently all succeed and
   // the final sets agree (exercises cross-responder VOTE_P interleaving).
