@@ -7,7 +7,6 @@
 #include "crypto/schnorr.hpp"
 #include "ea/ea.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ddemos::bb {
 
@@ -30,9 +29,8 @@ std::uint64_t scalar_to_u64(const crypto::Fn& s) {
 // per-instance verifier re-runs so a structurally valid message with any
 // bad share is rejected exactly as the serial loops rejected it.
 bool verify_vss_instances(
-    const std::vector<crypto::PedersenVssInstance>& insts,
-    util::ThreadPool* pool) {
-  if (crypto::pedersen_vss_verify_batch(insts, pool)) return true;
+    const std::vector<crypto::PedersenVssInstance>& insts) {
+  if (crypto::pedersen_vss_verify_batch(insts)) return true;
   return std::all_of(insts.begin(), insts.end(),
                      [](const crypto::PedersenVssInstance& i) {
                        return crypto::pedersen_vss_verify(i.share, i.comms);
@@ -308,15 +306,17 @@ void BbNode::maybe_combine_ballot(Serial serial) {
     if (pb.voted && msg.used_part != pb.used_part) continue;
     bool ok = true;
     std::vector<crypto::PedersenVssInstance> insts;
-    // ZK commitment evaluations (u + challenge * v per coefficient) are
-    // collected as jobs during the structural pass and filled afterwards,
-    // chunked over the compute pool when one is attached.
-    struct EvalJob {
-      const std::vector<crypto::Point>* u;
-      const std::vector<crypto::Point>* v;
-      std::size_t inst;
+    // The ZK responses are checked against u + challenge * v per
+    // coefficient of the committed (u, v) polynomial pair.
+    auto zk_instance = [&](const crypto::PedersenShare& share,
+                           const std::vector<crypto::Point>& u,
+                           const std::vector<crypto::Point>& v) {
+      std::vector<crypto::Point> comms(u.size());
+      for (std::size_t t = 0; t < u.size(); ++t) {
+        comms[t] = crypto::ec_add(u[t], crypto::ec_mul(challenge_, v[t]));
+      }
+      insts.push_back({share, std::move(comms)});
     };
-    std::vector<EvalJob> eval_jobs;
     for (std::size_t part = 0; part < kNumParts && ok; ++part) {
       bool used = pb.voted && pb.used_part == part;
       const TrusteePartData& pd = msg.parts[part];
@@ -339,14 +339,11 @@ void BbNode::maybe_combine_ballot(Serial serial) {
           }
           for (std::size_t j = 0; j < m; ++j) {
             for (std::size_t k = 0; k < 4; ++k) {
-              // comms for u + challenge * v, filled after the pass.
-              eval_jobs.push_back(
-                  {&zc[8 * j + 2 * k], &zc[8 * j + 2 * k + 1], insts.size()});
-              insts.push_back({pd.zk_bits[l][j][k], {}});
+              zk_instance(pd.zk_bits[l][j][k], zc[8 * j + 2 * k],
+                          zc[8 * j + 2 * k + 1]);
             }
           }
-          eval_jobs.push_back({&zc[8 * m], &zc[8 * m + 1], insts.size()});
-          insts.push_back({pd.zk_sum[l], {}});
+          zk_instance(pd.zk_sum[l], zc[8 * m], zc[8 * m + 1]);
         }
       } else {
         if (pd.openings.size() != lines.size()) {
@@ -368,25 +365,7 @@ void BbNode::maybe_combine_ballot(Serial serial) {
         }
       }
     }
-    if (ok && !eval_jobs.empty()) {
-      auto fill = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto& u = *eval_jobs[i].u;
-          const auto& v = *eval_jobs[i].v;
-          auto& comms = insts[eval_jobs[i].inst].comms;
-          comms.resize(u.size());
-          for (std::size_t t = 0; t < u.size(); ++t) {
-            comms[t] = crypto::ec_add(u[t], crypto::ec_mul(challenge_, v[t]));
-          }
-        }
-      };
-      if (pool_) {
-        pool_->parallel_for(eval_jobs.size(), 2, fill);
-      } else {
-        fill(0, eval_jobs.size());
-      }
-    }
-    ok = ok && verify_vss_instances(insts, pool_);
+    ok = ok && verify_vss_instances(insts);
     if (ok) valid.push_back(&msg);
     if (valid.size() == ht) break;
   }
@@ -476,68 +455,27 @@ void BbNode::maybe_publish_result() {
   }
   if (trustee_tally_data_.size() < ht) return;
 
-  // Expected commitment coefficients and ciphertext sums per option,
-  // accumulated in fixed-size chunks (partial sums merged in chunk order,
-  // so the group elements are identical at every pool size) and fanned
-  // over the compute pool when one is attached.
-  struct TallyPartial {
-    std::vector<std::vector<crypto::Point>> m_comms, r_comms;
-    std::vector<crypto::ElGamalCipher> sums;
-  };
-  constexpr std::size_t kCastChunk = 64;
-  const std::size_t n_cast_chunks =
-      (cast_info_.size() + kCastChunk - 1) / kCastChunk;
-  std::vector<TallyPartial> partials(n_cast_chunks);
-  auto accumulate = [&](std::size_t lo, std::size_t hi) {
-    TallyPartial& p = partials[lo / kCastChunk];
-    p.m_comms.assign(m, {});
-    p.r_comms.assign(m, {});
-    p.sums.assign(m, crypto::ElGamalCipher{crypto::Point::infinity(),
-                                           crypto::Point::infinity()});
-    bool first = true;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const CastInfo& ci = cast_info_[i];
-      const BbBallotInit& ballot = init_.ballots[ballot_index(ci.serial)];
-      const BbLineInit& line = ballot.parts[ci.part][ci.line];
-      for (std::size_t j = 0; j < m; ++j) {
-        p.sums[j] = crypto::eg_add(p.sums[j], line.encoding[j]);
-        const auto& cm = line.opening_comms[2 * j];
-        const auto& cr = line.opening_comms[2 * j + 1];
-        if (first) {
-          p.m_comms[j] = cm;
-          p.r_comms[j] = cr;
-        } else {
-          for (std::size_t t = 0; t < cm.size(); ++t) {
-            p.m_comms[j][t] = crypto::ec_add(p.m_comms[j][t], cm[t]);
-            p.r_comms[j][t] = crypto::ec_add(p.r_comms[j][t], cr[t]);
-          }
-        }
-      }
-      first = false;
-    }
-  };
-  if (pool_) {
-    pool_->parallel_for(cast_info_.size(), kCastChunk, accumulate);
-  } else {
-    for (std::size_t lo = 0; lo < cast_info_.size(); lo += kCastChunk) {
-      accumulate(lo, std::min(lo + kCastChunk, cast_info_.size()));
-    }
-  }
+  // Expected commitment coefficients and ciphertext sums per option over
+  // every cast line.
   std::vector<std::vector<crypto::Point>> m_comms(m), r_comms(m);
   std::vector<crypto::ElGamalCipher> sums(
       m, crypto::ElGamalCipher{crypto::Point::infinity(),
                                crypto::Point::infinity()});
   bool first = true;
-  for (TallyPartial& p : partials) {
+  for (const CastInfo& ci : cast_info_) {
+    const BbBallotInit& ballot = init_.ballots[ballot_index(ci.serial)];
+    const BbLineInit& line = ballot.parts[ci.part][ci.line];
     for (std::size_t j = 0; j < m; ++j) {
-      sums[j] = crypto::eg_add(sums[j], p.sums[j]);
+      sums[j] = crypto::eg_add(sums[j], line.encoding[j]);
+      const auto& cm = line.opening_comms[2 * j];
+      const auto& cr = line.opening_comms[2 * j + 1];
       if (first) {
-        m_comms[j] = std::move(p.m_comms[j]);
-        r_comms[j] = std::move(p.r_comms[j]);
+        m_comms[j] = cm;
+        r_comms[j] = cr;
       } else {
-        for (std::size_t t = 0; t < m_comms[j].size(); ++t) {
-          m_comms[j][t] = crypto::ec_add(m_comms[j][t], p.m_comms[j][t]);
-          r_comms[j][t] = crypto::ec_add(r_comms[j][t], p.r_comms[j][t]);
+        for (std::size_t t = 0; t < cm.size(); ++t) {
+          m_comms[j][t] = crypto::ec_add(m_comms[j][t], cm[t]);
+          r_comms[j][t] = crypto::ec_add(r_comms[j][t], cr[t]);
         }
       }
     }
@@ -554,7 +492,7 @@ void BbNode::maybe_publish_result() {
       insts.push_back({msg.totals[j].first, m_comms[j]});
       insts.push_back({msg.totals[j].second, r_comms[j]});
     }
-    if (verify_vss_instances(insts, pool_)) valid.push_back(&msg);
+    if (verify_vss_instances(insts)) valid.push_back(&msg);
     if (valid.size() == ht) break;
   }
   if (valid.size() < ht) return;

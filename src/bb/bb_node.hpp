@@ -20,10 +20,6 @@
 #include "sim/runtime.hpp"
 #include "store/wal.hpp"
 
-namespace ddemos::util {
-class ThreadPool;
-}
-
 namespace ddemos::bb {
 
 // The BB WAL holds raw accepted write messages (sender id + payload): the
@@ -99,13 +95,6 @@ class BbNode final : public sim::Process {
     return published_;
   }
 
-  // Optional shared worker pool for the node's bulk crypto (per-ballot
-  // trustee-data combine and the result-publication tally check). The
-  // pool only changes wall-clock time, never decisions or published
-  // bytes: chunk boundaries are thread-count independent. nullptr (the
-  // default) keeps everything on the node's own thread.
-  void set_compute_pool(util::ThreadPool* pool) { pool_ = pool; }
-
   // Durability: hands the node its write-ahead log (ownership transfers)
   // and replays it immediately by re-dispatching every logged write
   // through on_message with sends/timestamps suppressed. Call before the
@@ -132,7 +121,6 @@ class BbNode final : public sim::Process {
   sim::TimePoint now_safe() const { return replaying_ ? 0 : ctx().now(); }
 
   core::BbInit init_;
-  util::ThreadPool* pool_ = nullptr;
   std::unique_ptr<store::Wal> wal_;
   bool replaying_ = false;  // true only inside attach_wal's replay pass
   std::map<core::Serial, std::size_t> serial_index_;

@@ -146,6 +146,202 @@ ElectionTopology build_election(sim::RuntimeHost& host,
   return topo;
 }
 
+namespace {
+
+void encode_vc_stats(Writer& w, const vc::VcStats& s) {
+  w.u64(s.votes_received);
+  w.u64(s.receipts_issued);
+  w.u64(s.rejected_votes);
+  w.u64(static_cast<std::uint64_t>(s.voting_ended_at));
+  w.u64(static_cast<std::uint64_t>(s.consensus_done_at));
+  w.u64(static_cast<std::uint64_t>(s.push_done_at));
+}
+
+vc::VcStats decode_vc_stats(Reader& r) {
+  vc::VcStats s;
+  s.votes_received = r.u64();
+  s.receipts_issued = r.u64();
+  s.rejected_votes = r.u64();
+  s.voting_ended_at = static_cast<sim::TimePoint>(r.u64());
+  s.consensus_done_at = static_cast<sim::TimePoint>(r.u64());
+  s.push_done_at = static_cast<sim::TimePoint>(r.u64());
+  return s;
+}
+
+void encode_shard_stats(Writer& w, const vc::VcShardStats& s) {
+  w.u64(s.handled_messages);
+  w.u64(s.votes_received);
+  w.u64(s.receipts_issued);
+  w.u64(s.rejected_votes);
+  w.u64(s.endorsements_signed);
+  w.u64(s.queue_high_water);
+}
+
+vc::VcShardStats decode_shard_stats(Reader& r) {
+  vc::VcShardStats s;
+  s.handled_messages = r.u64();
+  s.votes_received = r.u64();
+  s.receipts_issued = r.u64();
+  s.rejected_votes = r.u64();
+  s.endorsements_signed = r.u64();
+  s.queue_high_water = r.u64();
+  return s;
+}
+
+}  // namespace
+
+void TcpNodeReport::encode(Writer& w) const {
+  w.u32(node_id);
+  w.u8(kind);
+  encode_vc_stats(w, vc_stats);
+  w.vec(vc_shard_stats,
+        [](Writer& w2, const vc::VcShardStats& s) { encode_shard_stats(w2, s); });
+  w.vec(vote_set,
+        [](Writer& w2, const VoteSetEntry& e) { e.encode(w2); });
+  w.boolean(result_published);
+  w.vec(tally, [](Writer& w2, std::uint64_t t) { w2.u64(t); });
+  w.u64(static_cast<std::uint64_t>(codes_published_at));
+  w.u64(static_cast<std::uint64_t>(result_published_at));
+}
+
+TcpNodeReport TcpNodeReport::decode(Reader& r) {
+  TcpNodeReport n;
+  n.node_id = r.u32();
+  n.kind = r.u8();
+  n.vc_stats = decode_vc_stats(r);
+  n.vc_shard_stats = r.vec<vc::VcShardStats>(
+      [](Reader& r2) { return decode_shard_stats(r2); });
+  n.vote_set =
+      r.vec<VoteSetEntry>([](Reader& r2) { return VoteSetEntry::decode(r2); });
+  n.result_published = r.boolean();
+  n.tally = r.vec<std::uint64_t>([](Reader& r2) { return r2.u64(); });
+  n.codes_published_at = static_cast<sim::TimePoint>(r.u64());
+  n.result_published_at = static_cast<sim::TimePoint>(r.u64());
+  return n;
+}
+
+std::vector<TcpNodeReport> harvest_nodes(
+    sim::RuntimeHost& host, const ElectionTopology& topo,
+    const std::function<bool(NodeId)>& hosted) {
+  std::vector<TcpNodeReport> rows;
+  for (NodeId id : topo.vc_ids) {
+    if (!hosted(id)) continue;
+    const auto& vc = dynamic_cast<const vc::VcNode&>(host.process(id));
+    TcpNodeReport n;
+    n.node_id = id;
+    n.kind = TcpNodeReport::kVc;
+    n.vc_stats = vc.stats();
+    n.vc_shard_stats = vc.shard_stats();
+    // The mailbox high-water is runtime bookkeeping (per-shard queues only
+    // exist on the threaded hosts); merge it into the per-shard rows here.
+    std::vector<std::size_t> depth = host.shard_queue_high_water(id);
+    for (std::size_t s = 0; s < n.vc_shard_stats.size() && s < depth.size();
+         ++s) {
+      n.vc_shard_stats[s].queue_high_water = depth[s];
+    }
+    n.vote_set = vc.final_vote_set();
+    rows.push_back(std::move(n));
+  }
+  for (NodeId id : topo.bb_ids) {
+    if (!hosted(id)) continue;
+    const auto& bb = dynamic_cast<const bb::BbNode&>(host.process(id));
+    TcpNodeReport n;
+    n.node_id = id;
+    n.kind = TcpNodeReport::kBb;
+    n.result_published = bb.result_published();
+    if (bb.result()) n.tally = bb.result()->tally;
+    n.codes_published_at = bb.codes_published_at();
+    n.result_published_at = bb.result_published_at();
+    rows.push_back(std::move(n));
+  }
+  return rows;
+}
+
+ElectionReport merge_node_reports(const ElectionParams& params,
+                                  std::size_t n_shards,
+                                  const std::vector<TcpNodeReport>& rows) {
+  ElectionReport r;
+  r.phases.t_start = params.t_start;
+  r.phases.t_end = params.t_end;
+  r.vc_stats.assign(params.n_vc, vc::VcStats{});
+  r.vc_shard_stats.assign(params.n_vc,
+                          std::vector<vc::VcShardStats>(n_shards));
+  // Fail closed: an election with no live BB never "completes".
+  bool any_bb = false;
+  bool all_published = true;
+  std::vector<sim::TimePoint> voting_ended, consensus_done, push_done;
+  for (const TcpNodeReport& node : rows) {
+    if (node.kind == TcpNodeReport::kVc) {
+      if (node.node_id >= params.n_vc) continue;
+      const vc::VcStats& s = node.vc_stats;
+      voting_ended.push_back(s.voting_ended_at);
+      consensus_done.push_back(s.consensus_done_at);
+      push_done.push_back(s.push_done_at);
+      r.vc_stats[node.node_id] = s;
+      r.vc_shard_stats[node.node_id] = node.vc_shard_stats;
+      if (r.vote_set.empty()) r.vote_set = node.vote_set;
+      r.vc_totals.votes_received += s.votes_received;
+      r.vc_totals.receipts_issued += s.receipts_issued;
+      r.vc_totals.rejected_votes += s.rejected_votes;
+      r.vc_totals.voting_ended_at =
+          std::max(r.vc_totals.voting_ended_at, s.voting_ended_at);
+      r.vc_totals.consensus_done_at =
+          std::max(r.vc_totals.consensus_done_at, s.consensus_done_at);
+      r.vc_totals.push_done_at =
+          std::max(r.vc_totals.push_done_at, s.push_done_at);
+    } else if (node.kind == TcpNodeReport::kBb) {
+      any_bb = true;
+      all_published = all_published && node.result_published;
+      if (r.tally.empty() && node.result_published) r.tally = node.tally;
+      r.phases.tally_published_at =
+          std::max(r.phases.tally_published_at, node.codes_published_at);
+      r.phases.result_published_at =
+          std::max(r.phases.result_published_at, node.result_published_at);
+    }
+  }
+  // A VC phase ends when n_vc - f_vc VCs are past it: the BBs publish once
+  // that many VCs have pushed, so the slowest VC may finish after the tally
+  // and its stamp (kept in vc_totals) would order the phases wrongly.
+  auto quorum_stamp = [&](std::vector<sim::TimePoint>& at) -> sim::TimePoint {
+    std::size_t k = std::min(at.size(), params.vc_quorum());
+    if (k == 0) return 0;
+    auto kth = at.begin() + static_cast<std::ptrdiff_t>(k - 1);
+    std::nth_element(at.begin(), kth, at.end());
+    return *kth;
+  };
+  r.phases.voting_ended_at = quorum_stamp(voting_ended);
+  r.phases.consensus_done_at = quorum_stamp(consensus_done);
+  r.phases.push_done_at = quorum_stamp(push_done);
+  r.completed = any_bb && all_published;
+  return r;
+}
+
+void harvest_clients(sim::RuntimeHost& host, const ElectionTopology& topo,
+                     std::size_t n_options, ElectionReport& r) {
+  r.expected_tally.assign(n_options, 0);
+  if (topo.load_client_id != sim::kNoNode) {
+    const auto& client =
+        dynamic_cast<const ClosedLoopClient&>(host.process(topo.load_client_id));
+    r.voters_launched = client.target_count();
+    r.receipts_issued = client.completed();
+    r.expected_tally = client.completed_by_option(n_options);
+    r.phases.last_receipt_at = std::max<sim::TimePoint>(
+        r.phases.last_receipt_at, client.last_receipt());
+    return;
+  }
+  r.voters_launched = topo.voter_ids.size();
+  for (std::size_t i = 0; i < topo.voter_ids.size(); ++i) {
+    const auto& voter =
+        dynamic_cast<const client::Voter&>(host.process(topo.voter_ids[i]));
+    if (!voter.has_receipt()) continue;
+    ++r.receipts_issued;
+    ++r.expected_tally[topo.voter_slots[i].option];
+    r.receipts.push_back(voter.expected_receipt());
+    r.phases.last_receipt_at =
+        std::max(r.phases.last_receipt_at, voter.receipt_at());
+  }
+}
+
 ElectionDriver::ElectionDriver(DriverConfig config)
     : cfg_(std::move(config)),
       owned_sim_(std::make_unique<sim::Simulation>(
@@ -197,10 +393,6 @@ void ElectionDriver::init() {
   }
   for (NodeId id : topo_.bb_ids) {
     bbs_.push_back(&dynamic_cast<bb::BbNode&>(host_->process(id)));
-  }
-  if (cfg_.compute_threads > 1) {
-    compute_pool_ = std::make_unique<util::ThreadPool>(cfg_.compute_threads);
-    for (bb::BbNode* bb : bbs_) bb->set_compute_pool(compute_pool_.get());
   }
   if (topo_.load_client_id != sim::kNoNode) {
     client_ = &dynamic_cast<ClosedLoopClient&>(
@@ -303,8 +495,12 @@ ElectionReport ElectionDriver::run() {
   // past (e.g. the completion wait returning the moment `done` held).
   probe_phases();
 
-  report_ = harvest();
+  // A crashed node gives no row, like a killed node process on TcpNet.
+  report_ = merge_node_reports(
+      cfg_.params, cfg_.vc_options.n_shards,
+      harvest_nodes(*host_, topo_, [this](NodeId id) { return !crashed(id); }));
   report_.completed = report_.completed && done_in_budget;
+  harvest_clients(*host_, topo_, cfg_.params.m(), report_);
   report_.events_processed = host_->events_dispatched() - events_base;
   if (sim_) {
     report_.messages_delivered = sim_->delivered_messages() - delivered_base;
@@ -319,83 +515,6 @@ ElectionReport ElectionDriver::run() {
           .count();
   for (ElectionObserver* o : observers_) o->on_complete(report_);
   return report_;
-}
-
-ElectionReport ElectionDriver::harvest() const {
-  ElectionReport r;
-  r.phases.t_start = cfg_.params.t_start;
-  r.phases.t_end = cfg_.params.t_end;
-
-  r.vc_stats.reserve(vcs_.size());
-  r.vc_shard_stats.reserve(vcs_.size());
-  for (std::size_t i = 0; i < vcs_.size(); ++i) {
-    vc::VcStats s = vcs_[i]->stats();
-    r.vc_stats.push_back(s);
-    std::vector<vc::VcShardStats> shards = vcs_[i]->shard_stats();
-    // The mailbox high-water is runtime bookkeeping (per-shard queues only
-    // exist on ThreadNet); merge it into the per-shard rows here.
-    std::vector<std::size_t> depth =
-        host_->shard_queue_high_water(topo_.vc_ids[i]);
-    for (std::size_t sh = 0; sh < shards.size() && sh < depth.size(); ++sh) {
-      shards[sh].queue_high_water = depth[sh];
-    }
-    r.vc_shard_stats.push_back(std::move(shards));
-    r.vc_totals.votes_received += s.votes_received;
-    r.vc_totals.receipts_issued += s.receipts_issued;
-    r.vc_totals.rejected_votes += s.rejected_votes;
-    r.vc_totals.voting_ended_at =
-        std::max(r.vc_totals.voting_ended_at, s.voting_ended_at);
-    r.vc_totals.consensus_done_at =
-        std::max(r.vc_totals.consensus_done_at, s.consensus_done_at);
-    r.vc_totals.push_done_at =
-        std::max(r.vc_totals.push_done_at, s.push_done_at);
-  }
-  r.phases.voting_ended_at = r.vc_totals.voting_ended_at;
-  r.phases.consensus_done_at = r.vc_totals.consensus_done_at;
-  r.phases.push_done_at = r.vc_totals.push_done_at;
-
-  // Fail closed: an election with no live BB never "completes".
-  bool any_live_bb = false;
-  r.completed = true;
-  for (std::size_t i = 0; i < bbs_.size(); ++i) {
-    if (crashed(topo_.bb_ids[i])) continue;
-    any_live_bb = true;
-    const bb::BbNode& bb = *bbs_[i];
-    r.completed = r.completed && bb.result_published();
-    if (r.tally.empty() && bb.result()) r.tally = bb.result()->tally;
-    r.phases.tally_published_at =
-        std::max(r.phases.tally_published_at, bb.codes_published_at());
-    r.phases.result_published_at =
-        std::max(r.phases.result_published_at, bb.result_published_at());
-  }
-  r.completed = r.completed && any_live_bb;
-  for (std::size_t i = 0; i < vcs_.size(); ++i) {
-    if (crashed(topo_.vc_ids[i])) continue;
-    r.vote_set = vcs_[i]->final_vote_set();
-    break;
-  }
-
-  r.expected_tally.assign(cfg_.params.m(), 0);
-  if (client_) {
-    r.voters_launched = client_->target_count();
-    r.receipts_issued = client_->completed();
-    r.expected_tally = client_->completed_by_option(cfg_.params.m());
-    r.phases.last_receipt_at = std::max<sim::TimePoint>(
-        r.phases.last_receipt_at, client_->last_receipt());
-  } else {
-    r.voters_launched = topo_.voter_ids.size();
-    for (std::size_t i = 0; i < topo_.voter_ids.size(); ++i) {
-      const auto& voter = dynamic_cast<const client::Voter&>(
-          host_->process(topo_.voter_ids[i]));
-      if (!voter.has_receipt()) continue;
-      ++r.receipts_issued;
-      ++r.expected_tally[topo_.voter_slots[i].option];
-      r.receipts.push_back(voter.expected_receipt());
-      r.phases.last_receipt_at =
-          std::max(r.phases.last_receipt_at, voter.receipt_at());
-    }
-  }
-  return r;
 }
 
 sim::Simulation& ElectionDriver::simulation() {
@@ -430,9 +549,11 @@ std::vector<const bb::BbNode*> ElectionDriver::bb_views() const {
 
 std::vector<std::uint64_t> ElectionDriver::expected_tally() const {
   // After run() the answer is already in the retained report; only a
-  // pre-run query pays for a fresh harvest.
+  // pre-run query pays for a fresh client harvest.
   if (!report_.expected_tally.empty()) return report_.expected_tally;
-  return harvest().expected_tally;
+  ElectionReport r;
+  harvest_clients(*host_, topo_, cfg_.params.m(), r);
+  return r.expected_tally;
 }
 
 }  // namespace ddemos::core

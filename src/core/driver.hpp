@@ -21,7 +21,6 @@
 #include "store/ballot_store.hpp"
 #include "store/wal.hpp"
 #include "trustee/trustee_node.hpp"
-#include "util/thread_pool.hpp"
 #include "vc/vc_node.hpp"
 
 namespace ddemos::core {
@@ -88,12 +87,6 @@ struct DriverConfig {
   sim::LinkModel link = sim::LinkModel::lan();
   bool measure_cpu = false;
   std::size_t max_events = 50'000'000;  // simulator event budget per run()
-  // BB compute pool: > 1 attaches a driver-owned util::ThreadPool to every
-  // BB node so the trustee-data combine and tally check fan out across
-  // real cores. Decisions and published bytes are unchanged at any value
-  // (chunk boundaries are thread-count independent); only wall clock (and
-  // measure_cpu virtual time) moves.
-  std::size_t compute_threads = 1;
   sim::Duration wall_timeout_us = 60'000'000;  // ThreadNet completion cap
   // Events between phase probes on the simulator: smaller = sharper phase
   // boundaries for observers, at some dispatch-loop overhead.
@@ -122,9 +115,11 @@ struct ElectionTopology {
 struct PhaseBreakdown {
   sim::TimePoint t_start = 0, t_end = 0;       // configured election hours
   sim::TimePoint last_receipt_at = 0;          // vote collection ends
-  sim::TimePoint voting_ended_at = 0;          // max over VC nodes
-  sim::TimePoint consensus_done_at = 0;        // max over VC nodes
-  sim::TimePoint push_done_at = 0;             // max over VC nodes
+  // The VC stamps are the time n_vc - f_vc VC nodes got there, the
+  // quorum the BBs wait for.
+  sim::TimePoint voting_ended_at = 0;
+  sim::TimePoint consensus_done_at = 0;
+  sim::TimePoint push_done_at = 0;
   sim::TimePoint tally_published_at = 0;       // max BB codes_published_at
   sim::TimePoint result_published_at = 0;      // max BB result_published_at
 
@@ -157,6 +152,28 @@ struct NodeAccounting {
   std::uint64_t frames_received = 0;
   std::uint64_t reconnects = 0;
   std::uint64_t frames_dropped = 0;
+};
+
+// One protocol node's harvest row, the same on every host: the in-process
+// driver merges these rows into its ElectionReport, and a TcpNet node
+// process ships them to the launcher in its C_REPORT, which merges them
+// the same way. A crashed or killed node gives no row.
+struct TcpNodeReport {
+  std::uint32_t node_id = 0;
+  enum Kind : std::uint8_t { kVc = 0, kBb = 1, kTrustee = 2 };
+  std::uint8_t kind = kVc;
+  // VC fields
+  vc::VcStats vc_stats;
+  std::vector<vc::VcShardStats> vc_shard_stats;
+  std::vector<VoteSetEntry> vote_set;
+  // BB fields
+  bool result_published = false;
+  std::vector<std::uint64_t> tally;
+  sim::TimePoint codes_published_at = 0;
+  sim::TimePoint result_published_at = 0;
+
+  void encode(Writer& w) const;
+  static TcpNodeReport decode(Reader& r);
 };
 
 // Structured outcome of a driver run; everything the benches and tests
@@ -239,6 +256,27 @@ void build_clients(sim::RuntimeHost& host,
                    const ea::SetupArtifacts& artifacts,
                    const DriverConfig& cfg, ElectionTopology& topo);
 
+// The election harvest, shared by every host. harvest_nodes reads the row
+// of each VC and BB in `topo` that `hosted` accepts: a VC's stats, its
+// per-shard rows with the host's shard-mailbox high-water merged in, and
+// its agreed vote set; a BB's result flag, tally and publish stamps.
+std::vector<TcpNodeReport> harvest_nodes(
+    sim::RuntimeHost& host, const ElectionTopology& topo,
+    const std::function<bool(sim::NodeId)>& hosted);
+// Folds rows into a report: per-VC stats and [n_vc][n_shards] shard rows
+// (zeros for a VC without a row), VC totals (counters summed, timings
+// maxed), the first non-empty vote set, the first published tally, the
+// phase stamps (see PhaseBreakdown), and `completed` = some BB reported
+// and every BB published.
+ElectionReport merge_node_reports(const ElectionParams& params,
+                                  std::size_t n_shards,
+                                  const std::vector<TcpNodeReport>& rows);
+// The client half: receipts, receipts_issued, voters_launched,
+// expected_tally and last_receipt_at from the closed-loop client or the
+// voters in `topo`.
+void harvest_clients(sim::RuntimeHost& host, const ElectionTopology& topo,
+                     std::size_t n_options, ElectionReport& r);
+
 class ElectionDriver {
  public:
   // Owns a deterministic simulator backend (the common case).
@@ -253,8 +291,6 @@ class ElectionDriver {
   // Runs the election to completion on the configured backend and returns
   // the harvested report (also retained, see report()).
   ElectionReport run();
-  // Harvests a report from the current node state without running.
-  ElectionReport harvest() const;
   const ElectionReport& report() const { return report_; }
 
   sim::RuntimeHost& host() { return *host_; }
@@ -288,9 +324,6 @@ class ElectionDriver {
 
   DriverConfig cfg_;
   std::shared_ptr<const ea::SetupArtifacts> artifacts_;
-  // Shared by every BB node when cfg_.compute_threads > 1; must outlive
-  // the host's processes.
-  std::unique_ptr<util::ThreadPool> compute_pool_;
   std::unique_ptr<sim::Simulation> owned_sim_;
   sim::RuntimeHost* host_ = nullptr;
   sim::Simulation* sim_ = nullptr;  // host_ when it is a Simulation

@@ -118,46 +118,6 @@ NodeAccounting sample_accounting(const net::TcpNet& net,
       .frames_dropped = net.frames_dropped()};
 }
 
-void encode_vc_stats(Writer& w, const vc::VcStats& s) {
-  w.u64(s.votes_received);
-  w.u64(s.receipts_issued);
-  w.u64(s.rejected_votes);
-  w.u64(static_cast<std::uint64_t>(s.voting_ended_at));
-  w.u64(static_cast<std::uint64_t>(s.consensus_done_at));
-  w.u64(static_cast<std::uint64_t>(s.push_done_at));
-}
-
-vc::VcStats decode_vc_stats(Reader& r) {
-  vc::VcStats s;
-  s.votes_received = r.u64();
-  s.receipts_issued = r.u64();
-  s.rejected_votes = r.u64();
-  s.voting_ended_at = static_cast<sim::TimePoint>(r.u64());
-  s.consensus_done_at = static_cast<sim::TimePoint>(r.u64());
-  s.push_done_at = static_cast<sim::TimePoint>(r.u64());
-  return s;
-}
-
-void encode_shard_stats(Writer& w, const vc::VcShardStats& s) {
-  w.u64(s.handled_messages);
-  w.u64(s.votes_received);
-  w.u64(s.receipts_issued);
-  w.u64(s.rejected_votes);
-  w.u64(s.endorsements_signed);
-  w.u64(s.queue_high_water);
-}
-
-vc::VcShardStats decode_shard_stats(Reader& r) {
-  vc::VcShardStats s;
-  s.handled_messages = r.u64();
-  s.votes_received = r.u64();
-  s.receipts_issued = r.u64();
-  s.rejected_votes = r.u64();
-  s.endorsements_signed = r.u64();
-  s.queue_high_water = r.u64();
-  return s;
-}
-
 // Rebuilds, from (params, seed), the nodes that node process `process`
 // hosts, through the builder every backend uses; it opens (and replays)
 // <wal_dir>/<name>.wal for each of them. The EA data lives only as long as
@@ -248,36 +208,6 @@ TcpClusterSpec TcpClusterSpec::decode(Reader& r) {
   s.durability.fsync = static_cast<store::FsyncPolicy>(fsync);
   s.durability.fsync_interval = static_cast<std::size_t>(r.varint());
   return s;
-}
-
-void TcpNodeReport::encode(Writer& w) const {
-  w.u32(node_id);
-  w.u8(kind);
-  encode_vc_stats(w, vc_stats);
-  w.vec(vc_shard_stats,
-        [](Writer& w2, const vc::VcShardStats& s) { encode_shard_stats(w2, s); });
-  w.vec(vote_set,
-        [](Writer& w2, const VoteSetEntry& e) { e.encode(w2); });
-  w.boolean(result_published);
-  w.vec(tally, [](Writer& w2, std::uint64_t t) { w2.u64(t); });
-  w.u64(static_cast<std::uint64_t>(codes_published_at));
-  w.u64(static_cast<std::uint64_t>(result_published_at));
-}
-
-TcpNodeReport TcpNodeReport::decode(Reader& r) {
-  TcpNodeReport n;
-  n.node_id = r.u32();
-  n.kind = r.u8();
-  n.vc_stats = decode_vc_stats(r);
-  n.vc_shard_stats = r.vec<vc::VcShardStats>(
-      [](Reader& r2) { return decode_shard_stats(r2); });
-  n.vote_set =
-      r.vec<VoteSetEntry>([](Reader& r2) { return VoteSetEntry::decode(r2); });
-  n.result_published = r.boolean();
-  n.tally = r.vec<std::uint64_t>([](Reader& r2) { return r2.u64(); });
-  n.codes_published_at = static_cast<sim::TimePoint>(r.u64());
-  n.result_published_at = static_cast<sim::TimePoint>(r.u64());
-  return n;
 }
 
 void TcpProcessReport::encode(Writer& w) const {
@@ -677,16 +607,18 @@ ElectionReport TcpLauncher::run_election(const DriverConfig& cfg) {
   std::vector<TcpProcessReport> reports = stop_cluster();
 
   // --- merge the per-process harvests into one ElectionReport ------------
-  const ElectionParams& p = spec_.params;
-  ElectionReport r;
-  r.phases.t_start = p.t_start;
-  r.phases.t_end = p.t_end;
-  r.vc_stats.assign(p.n_vc, vc::VcStats{});
-  r.vc_shard_stats.assign(
-      p.n_vc, std::vector<vc::VcShardStats>(spec_.vc_options.n_shards));
+  // Children time-stamp against their own epoch (microseconds since their
+  // net start); GO lands within control-RTT of the launcher's epoch on
+  // loopback, so the merged phase timeline is aligned to ~ms.
+  std::vector<TcpNodeReport> rows;
+  for (const TcpProcessReport& rep : reports) {
+    rows.insert(rows.end(), rep.nodes.begin(), rep.nodes.end());
+  }
+  ElectionReport r =
+      merge_node_reports(spec_.params, spec_.vc_options.n_shards, rows);
+  r.completed = r.completed && done_in_budget;
+  harvest_clients(*net_, topo, spec_.params.m(), r);
 
-  bool any_live_bb = false;
-  bool all_bbs_published = true;
   // One row per OS process, launcher first, then every node process in
   // index order. A process that never reported (killed by a fault cell)
   // keeps a zeroed row — structural completeness beats silent omission.
@@ -698,71 +630,11 @@ ElectionReport TcpLauncher::run_election(const DriverConfig& cfg) {
       r.process_accounting[rep.process] = rep;  // the NodeAccounting part
     }
     r.events_processed += rep.events;
-
-    for (const TcpNodeReport& node : rep.nodes) {
-      if (node.kind == TcpNodeReport::kVc) {
-        std::size_t i = node.node_id;
-        if (i >= p.n_vc) continue;
-        r.vc_stats[i] = node.vc_stats;
-        if (!node.vc_shard_stats.empty()) {
-          r.vc_shard_stats[i] = node.vc_shard_stats;
-        }
-        if (r.vote_set.empty() && !node.vote_set.empty()) {
-          r.vote_set = node.vote_set;
-        }
-        r.vc_totals.votes_received += node.vc_stats.votes_received;
-        r.vc_totals.receipts_issued += node.vc_stats.receipts_issued;
-        r.vc_totals.rejected_votes += node.vc_stats.rejected_votes;
-        r.vc_totals.voting_ended_at = std::max(
-            r.vc_totals.voting_ended_at, node.vc_stats.voting_ended_at);
-        r.vc_totals.consensus_done_at = std::max(
-            r.vc_totals.consensus_done_at, node.vc_stats.consensus_done_at);
-        r.vc_totals.push_done_at =
-            std::max(r.vc_totals.push_done_at, node.vc_stats.push_done_at);
-      } else if (node.kind == TcpNodeReport::kBb) {
-        any_live_bb = true;
-        all_bbs_published = all_bbs_published && node.result_published;
-        if (r.tally.empty() && node.result_published) r.tally = node.tally;
-        r.phases.tally_published_at =
-            std::max(r.phases.tally_published_at, node.codes_published_at);
-        r.phases.result_published_at =
-            std::max(r.phases.result_published_at, node.result_published_at);
-      }
-    }
   }
   r.process_accounting[0].name = "launcher";
   for (std::size_t proc = 1; proc < r.process_accounting.size(); ++proc) {
     r.process_accounting[proc].name =
         net_->node_name(static_cast<sim::NodeId>(proc - 1));
-  }
-  // Note: children time-stamp against their own epoch (microseconds since
-  // their net start); GO lands within control-RTT of the launcher's epoch
-  // on loopback, so the merged phase timeline is aligned to ~ms.
-  r.phases.voting_ended_at = r.vc_totals.voting_ended_at;
-  r.phases.consensus_done_at = r.vc_totals.consensus_done_at;
-  r.phases.push_done_at = r.vc_totals.push_done_at;
-  r.completed = done_in_budget && any_live_bb && all_bbs_published;
-
-  r.expected_tally.assign(p.m(), 0);
-  if (client) {
-    r.voters_launched = client->target_count();
-    r.receipts_issued = client->completed();
-    r.expected_tally = client->completed_by_option(p.m());
-    r.phases.last_receipt_at =
-        std::max<sim::TimePoint>(r.phases.last_receipt_at,
-                                 client->last_receipt());
-  } else {
-    r.voters_launched = topo.voter_ids.size();
-    for (std::size_t i = 0; i < topo.voter_ids.size(); ++i) {
-      const auto& voter = dynamic_cast<const client::Voter&>(
-          net_->process(topo.voter_ids[i]));
-      if (!voter.has_receipt()) continue;
-      ++r.receipts_issued;
-      ++r.expected_tally[topo.voter_slots[i].option];
-      r.receipts.push_back(voter.expected_receipt());
-      r.phases.last_receipt_at =
-          std::max(r.phases.last_receipt_at, voter.receipt_at());
-    }
   }
   r.events_processed += net_->events_dispatched();
   r.payload_allocations = net::Buffer::payload_allocations() - alloc_base;
@@ -814,18 +686,19 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
   ncfg.incarnation = incarnation;
   net::TcpNet node_net(std::move(ncfg));
 
-  // Typed handles to the hosted nodes feed the status loop and the report.
+  // Typed handles to the hosted nodes feed the status loop.
   ElectionTopology topo = build_hosted_nodes(node_net, spec, process);
-  std::vector<std::pair<sim::NodeId, vc::VcNode*>> vcs;
-  std::vector<std::pair<sim::NodeId, bb::BbNode*>> bbs;
+  auto hosted = [&](sim::NodeId id) { return node_net.is_local(id); };
+  std::vector<const vc::VcNode*> vcs;
+  std::vector<const bb::BbNode*> bbs;
   for (sim::NodeId id : topo.vc_ids) {
-    if (node_net.is_local(id)) {
-      vcs.emplace_back(id, &dynamic_cast<vc::VcNode&>(node_net.process(id)));
+    if (hosted(id)) {
+      vcs.push_back(&dynamic_cast<vc::VcNode&>(node_net.process(id)));
     }
   }
   for (sim::NodeId id : topo.bb_ids) {
-    if (node_net.is_local(id)) {
-      bbs.emplace_back(id, &dynamic_cast<bb::BbNode&>(node_net.process(id)));
+    if (hosted(id)) {
+      bbs.push_back(&dynamic_cast<bb::BbNode&>(node_net.process(id)));
     }
   }
 
@@ -865,8 +738,8 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
       continue;
     }
     bool done = true;
-    for (const auto& [id, vc] : vcs) done = done && vc->push_complete();
-    for (const auto& [id, bb] : bbs) done = done && bb->result_published();
+    for (const vc::VcNode* vc : vcs) done = done && vc->push_complete();
+    for (const bb::BbNode* bb : bbs) done = done && bb->result_published();
     Writer w;
     w.u8(done ? 1 : 0);
     if (!send_ctrl(ctrl, kCtrlStatus, w.data())) {
@@ -880,32 +753,9 @@ int serve_tcp_node(const std::string& host, std::uint16_t port,
     return 1;
   }
 
+  // The same rows the in-process driver merges.
   TcpProcessReport report{sample_accounting(node_net, alloc_base), process,
-                          {}};
-  for (const auto& [id, vc] : vcs) {
-    TcpNodeReport n;
-    n.node_id = id;
-    n.kind = TcpNodeReport::kVc;
-    n.vc_stats = vc->stats();
-    n.vc_shard_stats = vc->shard_stats();
-    std::vector<std::size_t> depth = node_net.shard_queue_high_water(id);
-    for (std::size_t s = 0; s < n.vc_shard_stats.size() && s < depth.size();
-         ++s) {
-      n.vc_shard_stats[s].queue_high_water = depth[s];
-    }
-    n.vote_set = vc->final_vote_set();
-    report.nodes.push_back(std::move(n));
-  }
-  for (const auto& [id, bb] : bbs) {
-    TcpNodeReport n;
-    n.node_id = id;
-    n.kind = TcpNodeReport::kBb;
-    n.result_published = bb->result_published();
-    if (bb->result()) n.tally = bb->result()->tally;
-    n.codes_published_at = bb->codes_published_at();
-    n.result_published_at = bb->result_published_at();
-    report.nodes.push_back(std::move(n));
-  }
+                          harvest_nodes(node_net, topo, hosted)};
   {
     Writer w;
     report.encode(w);

@@ -60,25 +60,6 @@ struct TcpClusterSpec {
   static TcpClusterSpec decode(Reader& r);
 };
 
-// Per-node harvest shipped back over the control socket at C_REPORT.
-struct TcpNodeReport {
-  std::uint32_t node_id = 0;
-  enum Kind : std::uint8_t { kVc = 0, kBb = 1, kTrustee = 2 };
-  std::uint8_t kind = kVc;
-  // VC fields
-  vc::VcStats vc_stats;
-  std::vector<vc::VcShardStats> vc_shard_stats;
-  std::vector<VoteSetEntry> vote_set;
-  // BB fields
-  bool result_published = false;
-  std::vector<std::uint64_t> tally;
-  sim::TimePoint codes_published_at = 0;
-  sim::TimePoint result_published_at = 0;
-
-  void encode(Writer& w) const;
-  static TcpNodeReport decode(Reader& r);
-};
-
 // One node process's harvest: its NodeAccounting counters (the name stays
 // off the wire; the launcher names rows itself) plus its hosted nodes.
 struct TcpProcessReport : NodeAccounting {

@@ -75,6 +75,8 @@ void Sha256::compress(const std::uint8_t* p) {
 }
 
 void Sha256::update(BytesView data) {
+  // An empty view may carry a null pointer, which memcpy must never see.
+  if (data.empty()) return;
   total_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {

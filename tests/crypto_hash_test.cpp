@@ -42,6 +42,13 @@ TEST(Sha256, StreamingMatchesOneShot) {
   }
   h.update(BytesView(data).subspan(off));
   EXPECT_EQ(h.finish(), sha256(data));
+
+  // Partial block, then an empty (null) view, then the rest.
+  Sha256 g;
+  g.update(BytesView(data).subspan(0, 10));
+  g.update(BytesView{});
+  g.update(BytesView(data).subspan(10));
+  EXPECT_EQ(g.finish(), sha256(data));
 }
 
 TEST(Sha256, PartsMatchesConcat) {

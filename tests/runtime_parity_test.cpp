@@ -87,16 +87,29 @@ TEST(RuntimeParity, SameElectionOnSimAndThreads) {
 // TCP sockets. Same config, same (params, seed) — each node process
 // recomputes the EA setup deterministically, so the multi-process cluster
 // must land on the exact same tally, agreed vote set, and receipt values
-// as the single-process backends.
+// as the single-process backends. The VCs run two shards each: the
+// simulator, ThreadNet and TcpNet all fold the same per-node rows into
+// their reports, so the reports have the same shape and counters on every
+// host, with the Figure-5c phase stamps in order.
 TEST(RuntimeParity, SameElectionAcrossProcessesOnTcp) {
   ElectionParams p = parity_params();
   DriverConfig cfg = parity_config(p);
+  cfg.vc_options.n_shards = 2;
+  // A voter that gives up on a slow VC resubmits elsewhere and adds a
+  // receipt to the VC totals; patience just under the voting window keeps
+  // a loaded host from doing that.
+  cfg.voter_template.patience_us = scaled(1'300'000);
   cfg.artifacts = std::make_shared<const ea::SetupArtifacts>(
       ea::ea_setup({p, cfg.seed, false, 64}));
 
   ElectionDriver sim_driver(cfg);
   ElectionReport sim_report = sim_driver.run();
   ASSERT_TRUE(sim_report.completed);
+
+  net::ThreadNet net;
+  ElectionDriver net_driver(net, cfg);
+  ElectionReport net_report = net_driver.run();
+  ASSERT_TRUE(net_report.completed);
 
   TcpLauncher launcher(TcpLauncher::spec_from(cfg));
   ElectionReport tcp_report = launcher.run_election(cfg);
@@ -120,6 +133,26 @@ TEST(RuntimeParity, SameElectionAcrossProcessesOnTcp) {
   ASSERT_EQ(tcp_report.process_accounting.size(),
             p.n_vc + p.n_bb + p.n_trustees + 1);
   EXPECT_GT(tcp_report.process_accounting[0].frames_sent, 0u);
+
+  for (const ElectionReport* rep : {&sim_report, &net_report, &tcp_report}) {
+    ASSERT_EQ(rep->vc_shard_stats.size(), p.n_vc);
+    for (std::size_t n = 0; n < p.n_vc; ++n) {
+      ASSERT_EQ(rep->vc_shard_stats[n].size(), 2u) << "vc" << n;
+      std::uint64_t receipts = 0;
+      for (const vc::VcShardStats& s : rep->vc_shard_stats[n]) {
+        receipts += s.receipts_issued;
+      }
+      EXPECT_EQ(receipts, rep->vc_stats[n].receipts_issued) << "vc" << n;
+    }
+    EXPECT_EQ(rep->vc_totals.receipts_issued,
+              sim_report.vc_totals.receipts_issued);
+    EXPECT_EQ(rep->voters_launched, sim_report.voters_launched);
+    EXPECT_EQ(rep->expected_tally, sim_report.expected_tally);
+    const PhaseBreakdown& ph = rep->phases;
+    EXPECT_LE(ph.voting_ended_at, ph.consensus_done_at);
+    EXPECT_LE(ph.consensus_done_at, ph.tally_published_at);
+    EXPECT_LE(ph.tally_published_at, ph.result_published_at);
+  }
 }
 
 // The VC-only cluster shape the cast benchmarks run, with a WAL on every
