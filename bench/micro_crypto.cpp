@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "core/messages.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/batch.hpp"
 #include "crypto/commit.hpp"
@@ -192,6 +193,20 @@ void BM_SchnorrVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerify);
 
+// The verify against a key decoded once, as the collectors and BBs hold
+// them: BM_SchnorrVerify minus one ec_decode.
+void BM_SchnorrVerifyKeyed(benchmark::State& state) {
+  Rng rng(6);
+  KeyPair kp = schnorr_keygen(rng);
+  SchnorrKey key = SchnorrKey::decode(kp.pk);
+  Bytes msg = to_bytes("endorsement digest");
+  Bytes sig = schnorr_sign(kp, msg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(schnorr_verify(key, msg, sig));
+  }
+}
+BENCHMARK(BM_SchnorrVerifyKeyed);
+
 void BM_SchnorrVerifyNaive(benchmark::State& state) {
   Rng rng(6);
   KeyPair kp = schnorr_keygen(rng);
@@ -218,6 +233,29 @@ void BM_SchnorrVerifyBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_SchnorrVerifyBatch)->Arg(16)->Arg(64);
+
+// One UCERT check as a collector makes it: a threshold of endorsement
+// signatures from distinct collectors, batch-verified against decoded keys.
+void BM_UcertValid(benchmark::State& state) {
+  Rng rng(61);
+  std::size_t threshold = static_cast<std::size_t>(state.range(0));
+  Bytes eid = to_bytes("micro");
+  std::vector<Bytes> pks;
+  core::Ucert u;
+  u.vote_code = rng.bytes(20);
+  Bytes digest = core::endorsement_digest(eid, 1, u.vote_code);
+  for (std::size_t i = 0; i < threshold; ++i) {
+    KeyPair kp = schnorr_keygen(rng);
+    pks.push_back(kp.pk);
+    u.signatures.push_back(
+        {static_cast<std::uint32_t>(i), schnorr_sign(kp, digest)});
+  }
+  std::vector<SchnorrKey> keys = decode_schnorr_keys(pks);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(u.valid(eid, 1, keys, threshold));
+  }
+}
+BENCHMARK(BM_UcertValid)->Arg(3);
 
 void BM_ElGamalCommit(benchmark::State& state) {
   Rng rng(7);

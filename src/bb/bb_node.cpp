@@ -55,7 +55,9 @@ void encode_published_line(Writer& w, const PublishedLine& l) {
 
 }  // namespace
 
-BbNode::BbNode(BbInit init) : init_(std::move(init)) {
+BbNode::BbNode(BbInit init)
+    : init_(std::move(init)),
+      trustee_keys_(crypto::decode_schnorr_keys(init_.trustee_public_keys)) {
   for (std::size_t i = 0; i < init_.ballots.size(); ++i) {
     serial_index_[init_.ballots[i].serial] = i;
   }
@@ -264,7 +266,7 @@ void BbNode::maybe_decrypt_codes() {
 void BbNode::handle_trustee_ballot(Reader& r) {
   TrusteeBallotMsg m = TrusteeBallotMsg::decode(r);
   if (m.trustee_index >= init_.params.n_trustees) return;
-  if (!crypto::schnorr_verify(init_.trustee_public_keys[m.trustee_index],
+  if (!crypto::schnorr_verify(trustee_keys_[m.trustee_index],
                               m.signing_bytes(init_.params.election_id),
                               m.signature)) {
     return;
@@ -430,7 +432,7 @@ void BbNode::maybe_combine_ballot(Serial serial) {
 void BbNode::handle_trustee_tally(Reader& r) {
   TrusteeTallyMsg m = TrusteeTallyMsg::decode(r);
   if (m.trustee_index >= init_.params.n_trustees) return;
-  if (!crypto::schnorr_verify(init_.trustee_public_keys[m.trustee_index],
+  if (!crypto::schnorr_verify(trustee_keys_[m.trustee_index],
                               m.signing_bytes(init_.params.election_id),
                               m.signature)) {
     return;

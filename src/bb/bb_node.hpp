@@ -121,6 +121,7 @@ class BbNode final : public sim::Process {
   sim::TimePoint now_safe() const { return replaying_ ? 0 : ctx().now(); }
 
   core::BbInit init_;
+  std::vector<crypto::SchnorrKey> trustee_keys_;  // decoded once
   std::unique_ptr<store::Wal> wal_;
   bool replaying_ = false;  // true only inside attach_wal's replay pass
   std::map<core::Serial, std::size_t> serial_index_;

@@ -174,6 +174,8 @@ void encode_shard_stats(Writer& w, const vc::VcShardStats& s) {
   w.u64(s.receipts_issued);
   w.u64(s.rejected_votes);
   w.u64(s.endorsements_signed);
+  w.u64(s.signature_batches);
+  w.u64(s.signature_checks);
   w.u64(s.queue_high_water);
 }
 
@@ -184,6 +186,8 @@ vc::VcShardStats decode_shard_stats(Reader& r) {
   s.receipts_issued = r.u64();
   s.rejected_votes = r.u64();
   s.endorsements_signed = r.u64();
+  s.signature_batches = r.u64();
+  s.signature_checks = r.u64();
   s.queue_high_water = r.u64();
   return s;
 }

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "crypto/batch.hpp"
 #include "crypto/schnorr.hpp"
 
 namespace ddemos::core {
@@ -113,14 +114,26 @@ Ucert Ucert::decode(Reader& r) {
 }
 
 bool Ucert::valid(BytesView election_id, Serial serial,
-                  const std::vector<Bytes>& vc_public_keys,
-                  std::size_t threshold) const {
+                  std::span<const crypto::SchnorrKey> vc_keys,
+                  std::size_t threshold, std::size_t* single_checks) const {
   Bytes digest = endorsement_digest(election_id, serial, vote_code);
   std::set<std::uint32_t> seen;
+  std::vector<crypto::SchnorrKeyedInstance> first;
+  for (const auto& [idx, sig] : signatures) {
+    if (first.size() == threshold) break;
+    if (idx >= vc_keys.size() || !seen.insert(idx).second) continue;
+    first.push_back({&vc_keys[idx], digest, sig});
+  }
+  // Fewer distinct in-range signers than the threshold: no order of checks
+  // can reach it.
+  if (first.size() < threshold) return false;
+  if (threshold > 0 && crypto::schnorr_verify_batch_keyed(first)) return true;
+  seen.clear();
   std::size_t good = 0;
   for (const auto& [idx, sig] : signatures) {
-    if (idx >= vc_public_keys.size() || seen.count(idx)) continue;
-    if (!crypto::schnorr_verify(vc_public_keys[idx], digest, sig)) continue;
+    if (idx >= vc_keys.size() || seen.count(idx)) continue;
+    if (single_checks) ++*single_checks;
+    if (!crypto::schnorr_verify(vc_keys[idx], digest, sig)) continue;
     seen.insert(idx);
     if (++good >= threshold) return true;
   }

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "core/types.hpp"
 #include "util/bitmap.hpp"
@@ -98,10 +99,15 @@ struct Ucert {
 
   void encode(Writer& w) const;
   static Ucert decode(Reader& r);
-  // Validates threshold-many correct signatures from distinct nodes.
+  // Validates threshold-many correct signatures from distinct nodes (a
+  // node index in range of vc_keys). One batch checks the first
+  // `threshold` distinct in-range signatures; if it fails, the signatures
+  // are checked one by one in order, so a forged signature among more than
+  // `threshold` cannot spoil a certificate that holds enough good ones.
+  // `single_checks`, when given, grows by the per-signature checks made.
   bool valid(BytesView election_id, Serial serial,
-             const std::vector<Bytes>& vc_public_keys,
-             std::size_t threshold) const;
+             std::span<const crypto::SchnorrKey> vc_keys, std::size_t threshold,
+             std::size_t* single_checks = nullptr) const;
 };
 
 struct VotePMsg {

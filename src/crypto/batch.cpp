@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
 #include "util/error.hpp"
 
@@ -48,43 +47,17 @@ void absorb_scalar(Sha256& h, const Fn& s) { h.update(s.to_bytes_be()); }
 void absorb_point(Sha256& h, const Point& p) { h.update(ec_encode(p)); }
 
 bool schnorr_batch_one(std::span<const SchnorrInstance> xs) {
-  if (xs.empty()) return true;
-  Sha256 seed;
-  seed.update(to_bytes("ddemos/batch/schnorr"));
+  std::vector<SchnorrKey> keys;
+  keys.reserve(xs.size());
+  std::vector<SchnorrKeyedInstance> keyed;
+  keyed.reserve(xs.size());
   for (const SchnorrInstance& x : xs) {
-    seed.update(x.pk);
-    seed.update(x.msg);
-    seed.update(x.sig);
+    keys.push_back(SchnorrKey::decode(x.pk));
   }
-  WeightStream ws(seed.finish());
-
-  std::vector<Fn> ks;
-  std::vector<Point> ps;
-  ks.reserve(2 * xs.size() + 1);
-  ps.reserve(2 * xs.size() + 1);
-  Fn g_coeff = Fn::zero();
-  try {
-    for (const SchnorrInstance& x : xs) {
-      if (x.sig.size() != 65 || x.pk.size() != 33) return false;
-      BytesView sig(x.sig);
-      Point r = ec_decode(sig.subspan(0, 33));
-      Fn s = Fn::from_bytes_mod(sig.subspan(33));
-      Point pub = ec_decode(x.pk);
-      Fn e = schnorr_challenge(sig.subspan(0, 33), x.pk, x.msg);
-      // w*(s*G - R - e*P) summed over the batch.
-      Fn w = ws.next();
-      g_coeff = g_coeff + w * s;
-      ks.push_back(w);
-      ps.push_back(ec_neg(r));
-      ks.push_back(w * e);
-      ps.push_back(ec_neg(pub));
-    }
-  } catch (const CryptoError&) {
-    return false;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    keyed.push_back(SchnorrKeyedInstance{&keys[i], xs[i].msg, xs[i].sig});
   }
-  ks.push_back(g_coeff);
-  ps.push_back(ec_generator());
-  return ec_msm(ks, ps).is_infinity();
+  return schnorr_verify_batch_keyed(keyed);
 }
 
 bool bit_batch_one(const Point& key, std::span<const BitProofInstance> xs) {
@@ -297,6 +270,46 @@ bool chunked_batch(std::span<const Inst> xs, util::ThreadPool* pool,
 }
 
 }  // namespace
+
+bool schnorr_verify_batch_keyed(std::span<const SchnorrKeyedInstance> xs) {
+  if (xs.empty()) return true;
+  // One instance: the plain check is the same equation without a weight.
+  if (xs.size() == 1) return schnorr_verify(*xs[0].key, xs[0].msg, xs[0].sig);
+  Sha256 seed;
+  seed.update(to_bytes("ddemos/batch/schnorr"));
+  for (const SchnorrKeyedInstance& x : xs) {
+    seed.update(x.key->enc);
+    seed.update(x.msg);
+    seed.update(x.sig);
+  }
+  WeightStream ws(seed.finish());
+
+  std::vector<Fn> ks;
+  std::vector<Point> ps;
+  ks.reserve(2 * xs.size() + 1);
+  ps.reserve(2 * xs.size() + 1);
+  Fn g_coeff = Fn::zero();
+  try {
+    for (const SchnorrKeyedInstance& x : xs) {
+      if (!x.key->ok || x.sig.size() != 65) return false;
+      Point r = ec_decode(x.sig.subspan(0, 33));
+      Fn s = Fn::from_bytes_mod(x.sig.subspan(33));
+      Fn e = schnorr_challenge(x.sig.subspan(0, 33), x.key->enc, x.msg);
+      // w*(s*G - R - e*P) summed over the batch.
+      Fn w = ws.next();
+      g_coeff = g_coeff + w * s;
+      ks.push_back(w);
+      ps.push_back(ec_neg(r));
+      ks.push_back(w * e);
+      ps.push_back(ec_neg(x.key->point));
+    }
+  } catch (const CryptoError&) {
+    return false;
+  }
+  ks.push_back(g_coeff);
+  ps.push_back(ec_generator());
+  return ec_msm(ks, ps).is_infinity();
+}
 
 bool schnorr_verify_batch(std::span<const SchnorrInstance> xs,
                           util::ThreadPool* pool) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "crypto/pedersen.hpp"
+#include "crypto/schnorr.hpp"
 #include "crypto/zkp.hpp"
 
 namespace ddemos::util {
@@ -28,6 +29,16 @@ class ThreadPool;
 
 namespace ddemos::crypto {
 
+// The keyed core: each instance names a verifier key decoded once
+// (schnorr.hpp); the views must outlive the call. A key that did not
+// decode fails the whole batch.
+struct SchnorrKeyedInstance {
+  const SchnorrKey* key = nullptr;
+  BytesView msg, sig;
+};
+bool schnorr_verify_batch_keyed(std::span<const SchnorrKeyedInstance> xs);
+
+// Decodes every pk and delegates to the keyed core, chunk by chunk.
 struct SchnorrInstance {
   Bytes pk, msg, sig;
 };

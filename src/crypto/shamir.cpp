@@ -46,18 +46,28 @@ Fn shamir_reconstruct(std::span<const Share> shares, std::size_t k) {
   if (pts.size() < k) {
     throw CryptoError("shamir_reconstruct: duplicate share points");
   }
-  Fn acc = Fn::zero();
+  // Lagrange weight i is num_i / den_i. Montgomery's trick inverts the
+  // product of all k denominators once and peels each inverse off it with
+  // the prefix products, instead of one field inversion per share.
+  std::vector<Fn> num(k, Fn::one()), den(k, Fn::one()), prefix(k);
+  Fn all = Fn::one();
   for (std::size_t i = 0; i < k; ++i) {
-    Fn num = Fn::one();
-    Fn den = Fn::one();
     Fn xi = Fn::from_u64(pts[i].x);
     for (std::size_t j = 0; j < k; ++j) {
       if (i == j) continue;
       Fn xj = Fn::from_u64(pts[j].x);
-      num = num * xj;
-      den = den * (xj - xi);
+      num[i] = num[i] * xj;
+      den[i] = den[i] * (xj - xi);
     }
-    acc = acc + pts[i].y * num * den.inv();
+    prefix[i] = all;
+    all = all * den[i];
+  }
+  Fn inv = all.inv();  // (den_0 * ... * den_{k-1})^-1
+  Fn acc = Fn::zero();
+  for (std::size_t i = k; i-- > 0;) {
+    // inv is (den_0 * ... * den_i)^-1 here.
+    acc = acc + pts[i].y * num[i] * (inv * prefix[i]);
+    inv = inv * den[i];
   }
   return acc;
 }

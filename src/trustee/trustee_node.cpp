@@ -12,7 +12,10 @@ using sim::NodeId;
 
 TrusteeNode::TrusteeNode(TrusteeInit init, std::vector<NodeId> bb_ids,
                          Options options)
-    : init_(std::move(init)), bb_ids_(std::move(bb_ids)), opt_(options) {}
+    : init_(std::move(init)),
+      signing_key_(crypto::schnorr_keypair(init_.signing_key)),
+      bb_ids_(std::move(bb_ids)),
+      opt_(options) {}
 
 void TrusteeNode::on_start() {
   poll_timer_ = ctx().set_timer(opt_.poll_interval_us);
@@ -147,7 +150,7 @@ void TrusteeNode::submit_all(BytesView cast_info_payload) {
       if (used) tally_init = true;
     }
     msg.signature = crypto::schnorr_sign(
-        init_.signing_key, msg.signing_bytes(init_.params.election_id));
+        signing_key_, msg.signing_bytes(init_.params.election_id));
     net::Buffer encoded = msg.encode();
     for (NodeId bb : bb_ids_) ctx().send(bb, encoded);
   }
@@ -159,7 +162,7 @@ void TrusteeNode::submit_all(BytesView cast_info_payload) {
       tally.totals.emplace_back(tally_m[j], tally_r[j]);
     }
     tally.signature = crypto::schnorr_sign(
-        init_.signing_key, tally.signing_bytes(init_.params.election_id));
+        signing_key_, tally.signing_bytes(init_.params.election_id));
     net::Buffer encoded = tally.encode();
     for (NodeId bb : bb_ids_) ctx().send(bb, encoded);
   }

@@ -39,6 +39,7 @@ class TrusteeNode final : public sim::Process {
   void submit_all(BytesView cast_info_payload);
 
   core::TrusteeInit init_;
+  crypto::KeyPair signing_key_;  // pk derived once for every signature
   std::vector<sim::NodeId> bb_ids_;
   Options opt_;
   std::uint64_t poll_timer_ = 0;

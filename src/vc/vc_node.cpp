@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/batch.hpp"
 #include "crypto/commit.hpp"
 #include "crypto/schnorr.hpp"
 #include "ea/ea.hpp"
@@ -38,7 +39,9 @@ VcNode::VcNode(VcInit init, std::shared_ptr<store::BallotDataSource> source,
       source_(std::move(source)),
       vc_ids_(std::move(vc_ids)),
       bb_ids_(std::move(bb_ids)),
-      opt_(options) {
+      opt_(options),
+      vc_keys_(crypto::decode_schnorr_keys(init_.vc_public_keys)),
+      signing_key_(crypto::schnorr_keypair(init_.signing_key)) {
   if (vc_ids_.size() != init_.params.n_vc) {
     throw ProtocolError("VcNode: vc id list size mismatch");
   }
@@ -318,6 +321,8 @@ bool VcNode::verify_receipt_share(const VcBallotInit& ballot,
 }
 
 bool VcNode::verify_ucert(Serial serial, const Ucert& ucert) {
+  VcShardStats& ss = stats_for(serial);
+  ++ss.signature_batches;
   if (opt_.model_signatures) {
     ctx().charge(opt_.verify_cost_us *
                  static_cast<sim::Duration>(init_.params.vc_quorum()));
@@ -328,8 +333,11 @@ bool VcNode::verify_ucert(Serial serial, const Ucert& ucert) {
     }
     return distinct.size() >= init_.params.vc_quorum();
   }
-  return ucert.valid(init_.params.election_id, serial, init_.vc_public_keys,
-                     init_.params.vc_quorum());
+  std::size_t singles = 0;
+  bool ok = ucert.valid(init_.params.election_id, serial, vc_keys_,
+                        init_.params.vc_quorum(), &singles);
+  ss.signature_checks += singles;
+  return ok;
 }
 
 Bytes VcNode::sign_endorsement(Serial serial, BytesView code) {
@@ -341,8 +349,7 @@ Bytes VcNode::sign_endorsement(Serial serial, BytesView code) {
     return fake;
   }
   return crypto::schnorr_sign(
-      init_.signing_key,
-      endorsement_digest(init_.params.election_id, serial, code));
+      signing_key_, endorsement_digest(init_.params.election_id, serial, code));
 }
 
 std::optional<VcBallotInit> VcNode::find_ballot(Serial serial) {
@@ -516,18 +523,11 @@ void VcNode::handle_endorsement(NodeId from, Reader& r) {
   EndorseState& es = endorse_states_[*inst];
   if (!es.active || es.ucert_formed) return;
   if (es.code != m.vote_code) return;
-  if (!opt_.model_signatures) {
-    Bytes digest =
-        endorsement_digest(init_.params.election_id, m.serial, m.vote_code);
-    if (!crypto::schnorr_verify(init_.vc_public_keys[m.node_index], digest,
-                                m.signature)) {
-      return;
-    }
-  } else {
-    ctx().charge(opt_.verify_cost_us);
-  }
-  es.sigs[m.node_index] = m.signature;
-  if (es.sigs.size() < init_.params.vc_quorum()) return;
+  Endorsement& e = es.sigs[m.node_index];
+  // A failed signer is not checked again; a good one has nothing to add.
+  if (e.check != SigCheck::kUnchecked) return;
+  e.sig = std::move(m.signature);
+  if (!endorsement_quorum(m.serial, es)) return;
 
   // UCERT formed: mark pending and disclose our receipt share.
   es.ucert_formed = true;
@@ -539,9 +539,53 @@ void VcNode::handle_endorsement(NodeId from, Reader& r) {
     st.line = es.line;
   }
   st.ucert.vote_code = es.code;
-  st.ucert.signatures.assign(es.sigs.begin(), es.sigs.end());
+  st.ucert.signatures.clear();
+  for (auto& [idx, e] : es.sigs) {
+    if (e.check == SigCheck::kGood) {
+      st.ucert.signatures.emplace_back(idx, std::move(e.sig));
+    }
+  }
+  es.sigs.clear();  // ucert_formed stops every later endorsement
   wal_log_ucert(*inst, st);
   send_own_vote_p(m.serial, st);
+}
+
+bool VcNode::endorsement_quorum(Serial serial, EndorseState& es) {
+  const std::size_t quorum = init_.params.vc_quorum();
+  std::size_t live = 0;
+  for (const auto& [idx, e] : es.sigs) live += e.check != SigCheck::kBad;
+  if (live < quorum) return false;
+  VcShardStats& ss = stats_for(serial);
+  ++ss.signature_batches;
+  Bytes digest = opt_.model_signatures
+                     ? Bytes{}
+                     : endorsement_digest(init_.params.election_id, serial,
+                                          es.code);
+  std::vector<Endorsement*> pending;
+  std::vector<crypto::SchnorrKeyedInstance> batch;
+  for (auto& [idx, e] : es.sigs) {
+    if (e.check != SigCheck::kUnchecked) continue;
+    pending.push_back(&e);
+    batch.push_back({&vc_keys_[idx], digest, e.sig});
+  }
+  if (opt_.model_signatures) {
+    ctx().charge(opt_.verify_cost_us *
+                 static_cast<sim::Duration>(pending.size()));
+    for (Endorsement* e : pending) e->check = SigCheck::kGood;
+    return true;
+  }
+  bool all_good = crypto::schnorr_verify_batch_keyed(batch);
+  std::size_t good = live - pending.size();
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    bool ok = all_good;
+    if (!ok) {
+      ++ss.signature_checks;
+      ok = crypto::schnorr_verify(*batch[i].key, digest, batch[i].sig);
+    }
+    pending[i]->check = ok ? SigCheck::kGood : SigCheck::kBad;
+    good += ok;
+  }
+  return good >= quorum;
 }
 
 void VcNode::send_own_vote_p(Serial serial, BallotState& st) {
@@ -570,7 +614,19 @@ void VcNode::handle_vote_p(NodeId from, Reader& r) {
   if (m.ucert.vote_code != m.vote_code) return;
   auto inst = instance_of(m.serial);
   if (!inst) return;
-  if (!verify_ucert(m.serial, m.ucert)) return;
+  BallotState& st = state_at(*inst);
+  // The receipt is already reconstructed: another share adds nothing.
+  if (st.status == BallotStatus::kVoted) return;
+  // A collector that holds a UCERT for this code (formed here, checked on
+  // an earlier VOTE_P, or restored from its log) learns nothing from
+  // another one: only the receipt share below is checked. A certificate
+  // for a different code than the held one cannot exist while at most fv
+  // collectors are faulty, so that VOTE_P is dropped unchecked.
+  if (st.status == BallotStatus::kPending) {
+    if (st.code != m.vote_code) return;
+  } else if (!verify_ucert(m.serial, m.ucert)) {
+    return;
+  }
   auto ballot = find_ballot(m.serial);
   if (!ballot) return;
   // The sender claims (part, line); verify the code actually hashes there.
@@ -586,7 +642,6 @@ void VcNode::handle_vote_p(NodeId from, Reader& r) {
                             m.share_path)) {
     return;
   }
-  BallotState& st = state_at(*inst);
   if (st.status == BallotStatus::kNotVoted) {
     st.status = BallotStatus::kPending;
     st.code = m.vote_code;
@@ -594,8 +649,6 @@ void VcNode::handle_vote_p(NodeId from, Reader& r) {
     st.line = m.line;
     st.ucert = m.ucert;
     wal_log_ucert(*inst, st);
-  } else if (st.code != m.vote_code) {
-    return;  // conflicting certified code: impossible unless keys broken
   }
   st.shares[m.receipt_share.x] = m.receipt_share;
   if (!st.vote_p_sent) send_own_vote_p(m.serial, st);
@@ -615,6 +668,7 @@ void VcNode::complete_vote(Serial serial, BallotState& st) {
   for (int i = 24; i < 32; ++i) receipt = receipt << 8 | be[static_cast<std::size_t>(i)];
   st.receipt = receipt;
   st.status = BallotStatus::kVoted;
+  st.shares.clear();  // only reconstruction needs them
   // Log before the receipt leaves the node: under FsyncPolicy::kAlways an
   // issued receipt is durable, so a restarted collector re-serves the
   // exact same receipt to a resubmitting voter.
@@ -630,6 +684,7 @@ void VcNode::complete_vote(Serial serial, BallotState& st) {
       ctx().send(voter, reply);
     }
     st.waiters.clear();
+    st.waiters.shrink_to_fit();
   }
 }
 

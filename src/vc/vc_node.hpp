@@ -83,6 +83,10 @@ struct VcShardStats {
   std::uint64_t receipts_issued = 0;
   std::uint64_t rejected_votes = 0;
   std::uint64_t endorsements_signed = 0;
+  // Signature work: one batch per endorsement quorum and per UCERT
+  // checked, and one single check per signature of a failed batch.
+  std::uint64_t signature_batches = 0;
+  std::uint64_t signature_checks = 0;
   std::uint64_t queue_high_water = 0;
 };
 
@@ -163,12 +167,20 @@ class VcNode final : public sim::ShardedProcess {
     bool vote_p_sent = false;
     std::vector<sim::NodeId> waiters;  // voters awaiting the receipt
   };
+  enum class SigCheck : std::uint8_t { kUnchecked, kGood, kBad };
+  struct Endorsement {
+    SigCheck check = SigCheck::kUnchecked;
+    Bytes sig;
+  };
   struct EndorseState {
     bool active = false;  // dense storage: slot in use
     Bytes code;
     std::uint8_t part = 0;
     std::uint32_t line = 0;
-    std::map<std::uint32_t, Bytes> sigs;
+    // By signer index. Endorsements wait unchecked until a quorum of them
+    // is in hand and are then checked in one batch; a signer whose
+    // endorsement failed stays kBad and is not checked again.
+    std::map<std::uint32_t, Endorsement> sigs;
     bool ucert_formed = false;
   };
   // Cache-line padded so shards writing adjacent slots never false-share.
@@ -181,6 +193,9 @@ class VcNode final : public sim::ShardedProcess {
   void handle_endorse(sim::NodeId from, Reader& r);
   void handle_endorsement(sim::NodeId from, Reader& r);
   void handle_vote_p(sim::NodeId from, Reader& r);
+  // Checks the unchecked endorsements once a quorum of not-bad ones is
+  // held; true when a quorum of them is good.
+  bool endorsement_quorum(core::Serial serial, EndorseState& es);
   void send_own_vote_p(core::Serial serial, BallotState& st);
   void complete_vote(core::Serial serial, BallotState& st);
 
@@ -252,6 +267,10 @@ class VcNode final : public sim::ShardedProcess {
   std::vector<sim::NodeId> vc_ids_;
   std::vector<sim::NodeId> bb_ids_;
   Options opt_;
+  // Keys of the election decoded once: every VC's verifier key, and this
+  // node's signing key with its public half.
+  std::vector<crypto::SchnorrKey> vc_keys_;
+  crypto::KeyPair signing_key_;
 
   std::atomic<Phase> phase_{Phase::kVoting};
   // Per-ballot state, dense by instance index (serials are contiguous from

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <set>
 #include <vector>
 
+#include "core/messages.hpp"
 #include "crypto/batch.hpp"
 #include "crypto/ec.hpp"
 #include "crypto/elgamal.hpp"
@@ -301,6 +303,151 @@ TEST(EcFast, SchnorrVerifierMatchesNaive) {
   KeyPair other = schnorr_keygen(rng);
   EXPECT_EQ(schnorr_verify(other.pk, msg, sig),
             schnorr_verify_naive(other.pk, msg, sig));
+}
+
+TEST(EcFast, KeyedSchnorrVerifyMatchesBytesVerify) {
+  // The decoded-once key must give schnorr_verify's verdict on every
+  // input, accepting and rejecting, alone and as a keyed batch.
+  Rng rng(717);
+  KeyPair kp = schnorr_keygen(rng);
+  KeyPair other = schnorr_keygen(rng);
+  Bytes msg = to_bytes("receipt endorsement");
+  Bytes sig = schnorr_sign(kp.sk, msg);
+  EXPECT_EQ(schnorr_sign(kp, msg), sig);
+
+  Bytes flipped_s = sig;
+  flipped_s[50] ^= 1;
+  // R = 0x02 || x with no curve point at x.
+  Bytes off_curve = sig;
+  for (std::uint8_t x = 1;; ++x) {
+    off_curve[32] = x;
+    try {
+      ec_decode(BytesView(off_curve).subspan(0, 33));
+    } catch (const CryptoError&) {
+      break;
+    }
+  }
+  // An infinity pk accepts any R = s*G, whatever e is: both forms agree.
+  Fn s = random_scalar(rng);
+  Bytes inf_sig = ec_encode(ec_mul_g(s));
+  append(inf_sig, s.to_bytes_be());
+  Bytes inf_pk(33, 0);
+  Bytes bad_prefix_pk = kp.pk;
+  bad_prefix_pk[0] = 0x05;
+
+  struct Case {
+    const char* name;
+    Bytes pk, msg, sig;
+  };
+  std::vector<Case> cases{
+      {"valid", kp.pk, msg, sig},
+      {"wrong key", other.pk, msg, sig},
+      {"wrong message", kp.pk, to_bytes("receipt endorsament"), sig},
+      {"flipped s", kp.pk, msg, flipped_s},
+      {"off-curve R", kp.pk, msg, off_curve},
+      {"infinity pk", inf_pk, msg, inf_sig},
+      {"infinity pk, real sig", inf_pk, msg, sig},
+      {"undecodable pk", bad_prefix_pk, msg, sig},
+      {"short sig", kp.pk, msg, Bytes(sig.begin(), sig.end() - 1)},
+  };
+  for (const Case& c : cases) {
+    SchnorrKey key = SchnorrKey::decode(c.pk);
+    bool want = schnorr_verify(BytesView(c.pk), c.msg, c.sig);
+    EXPECT_EQ(schnorr_verify(key, c.msg, c.sig), want) << c.name;
+    SchnorrKeyedInstance one{&key, c.msg, c.sig};
+    EXPECT_EQ(schnorr_verify_batch_keyed({&one, 1}), want) << c.name;
+    // Beside a valid instance the batch is exactly as valid as the case.
+    SchnorrKey good_key = SchnorrKey::decode(kp.pk);
+    std::vector<SchnorrKeyedInstance> two{{&good_key, msg, sig}, one};
+    EXPECT_EQ(schnorr_verify_batch_keyed(two), want) << c.name;
+    SchnorrInstance inst{c.pk, c.msg, c.sig};
+    EXPECT_EQ(schnorr_verify_batch({&inst, 1}), want) << c.name;
+  }
+  EXPECT_TRUE(schnorr_verify(SchnorrKey::decode(kp.pk), msg, sig));
+  EXPECT_FALSE(schnorr_verify(SchnorrKey::decode(other.pk), msg, sig));
+  EXPECT_TRUE(schnorr_verify_batch_keyed({}));
+}
+
+// Ucert validation before the batch: one check per signature, in order,
+// against keys decoded on every call.
+bool ucert_valid_per_signature(const core::Ucert& u, BytesView election_id,
+                               core::Serial serial,
+                               const std::vector<Bytes>& pks,
+                               std::size_t threshold) {
+  Bytes digest = core::endorsement_digest(election_id, serial, u.vote_code);
+  std::set<std::uint32_t> seen;
+  std::size_t good = 0;
+  for (const auto& [idx, sig] : u.signatures) {
+    if (idx >= pks.size() || seen.count(idx)) continue;
+    if (!schnorr_verify(BytesView(pks[idx]), digest, sig)) continue;
+    seen.insert(idx);
+    if (++good >= threshold) return true;
+  }
+  return false;
+}
+
+TEST(EcFast, UcertBatchKeepsPerSignatureVerdicts) {
+  Rng rng(718);
+  std::vector<KeyPair> kps;
+  std::vector<Bytes> pks;
+  for (int i = 0; i < 4; ++i) {
+    kps.push_back(schnorr_keygen(rng));
+    pks.push_back(kps.back().pk);
+  }
+  const std::vector<SchnorrKey> keys = decode_schnorr_keys(pks);
+  const Bytes eid = to_bytes("ucert-batch");
+  const core::Serial serial = 41;
+  core::Ucert u;
+  u.vote_code = to_bytes("code-a");
+  Bytes digest = core::endorsement_digest(eid, serial, u.vote_code);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    u.signatures.push_back({i, schnorr_sign(kps[i], digest)});
+  }
+  Bytes forged = schnorr_sign(kps[3].sk, to_bytes("another digest"));
+
+  // The cases of the protocol's UCERT rules, plus forgeries that a batch
+  // must not let through or hold against a certificate.
+  core::Ucert dup = u;
+  dup.signatures.pop_back();
+  dup.signatures.push_back(dup.signatures[0]);
+  core::Ucert oob = u;
+  oob.signatures[0].first = 99;
+  core::Ucert four_first_forged = u;
+  four_first_forged.signatures.insert(four_first_forged.signatures.begin(),
+                                      {3, forged});
+  core::Ucert four_last_forged = u;
+  four_last_forged.signatures.push_back({3, forged});
+  core::Ucert two_forged = four_first_forged;
+  two_forged.signatures[1].second = forged;
+  core::Ucert forged_then_good = u;  // a signer's bad copy, then its good one
+  forged_then_good.signatures.insert(forged_then_good.signatures.begin(),
+                                     {0, forged});
+  struct Case {
+    const char* name;
+    const core::Ucert& cert;
+    core::Serial serial;
+    bool want;
+    bool fallback;  // the batch fails and per-signature checks run
+  };
+  const Case cases[] = {
+      {"quorum", u, serial, true, false},
+      {"duplicate signer", dup, serial, false, false},
+      {"other serial", u, serial + 1, false, true},
+      {"out-of-range index", oob, serial, false, false},
+      {"4 signatures, first forged", four_first_forged, serial, true, true},
+      {"4 signatures, last forged", four_last_forged, serial, true, false},
+      {"2 of 4 forged", two_forged, serial, false, true},
+      {"forged then good copy", forged_then_good, serial, true, true},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ucert_valid_per_signature(c.cert, eid, c.serial, pks, 3),
+              c.want)
+        << c.name;
+    std::size_t singles = 0;
+    EXPECT_EQ(c.cert.valid(eid, c.serial, keys, 3, &singles), c.want)
+        << c.name;
+    EXPECT_EQ(singles > 0, c.fallback) << c.name;
+  }
 }
 
 TEST(EcFast, BitProofVerifierMatchesNaive) {

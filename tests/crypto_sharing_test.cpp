@@ -92,6 +92,46 @@ TEST(Shamir, LinearityOfShares) {
   EXPECT_EQ(shamir_reconstruct(sum, 3), a + b);
 }
 
+// The Lagrange interpolation at 0 with one field inversion per share: the
+// reference shamir_reconstruct must keep matching.
+Fn reconstruct_k_inversions(const std::vector<Share>& pts) {
+  Fn acc = Fn::zero();
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    Fn num = Fn::one();
+    Fn den = Fn::one();
+    Fn xi = Fn::from_u64(pts[i].x);
+    for (std::size_t j = 0; j < pts.size(); ++j) {
+      if (i == j) continue;
+      Fn xj = Fn::from_u64(pts[j].x);
+      num = num * xj;
+      den = den * (xj - xi);
+    }
+    acc = acc + pts[i].y * num * den.inv();
+  }
+  return acc;
+}
+
+TEST(Shamir, OneInversionMatchesPerShareInversions) {
+  // Random points (not a dealt polynomial, so every share matters) over
+  // random subsets of distinct x in [1, 40], k from 1 to 12; extra shares
+  // past the first k distinct ones are ignored.
+  Rng rng(47);
+  for (int round = 0; round < 200; ++round) {
+    std::size_t k = 1 + rng.below(12);
+    std::vector<std::uint32_t> xs;
+    while (xs.size() < k + 2) {
+      auto x = static_cast<std::uint32_t>(1 + rng.below(40));
+      if (std::find(xs.begin(), xs.end(), x) == xs.end()) xs.push_back(x);
+    }
+    std::vector<Share> shares;
+    for (std::uint32_t x : xs) shares.push_back(Share{x, random_scalar(rng)});
+    std::vector<Share> first(shares.begin(),
+                             shares.begin() + static_cast<std::ptrdiff_t>(k));
+    EXPECT_EQ(shamir_reconstruct(shares, k), reconstruct_k_inversions(first))
+        << "round " << round << " k=" << k;
+  }
+}
+
 TEST(PedersenVss, SharesVerifyAndReconstruct) {
   Rng rng(47);
   Fn secret = random_scalar(rng);

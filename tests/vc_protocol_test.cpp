@@ -2,10 +2,16 @@
 // and Byzantine VC nodes (wrong receipts, withheld shares, double-vote
 // attempts, bogus VOTE_P messages).
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <functional>
 
 #include "core/messages.hpp"
 #include "core/driver.hpp"
+#include "crypto/commit.hpp"
 #include "crypto/schnorr.hpp"
+#include "store/wal.hpp"
 
 namespace ddemos::core {
 namespace {
@@ -212,6 +218,8 @@ TEST(VcProtocol, UcertValidationRules) {
   Bytes code = f.runner->artifacts().voter_ballots[0].parts[0].lines[0]
                    .vote_code;
   Bytes digest = endorsement_digest(init.params.election_id, serial, code);
+  const std::vector<crypto::SchnorrKey> keys =
+      crypto::decode_schnorr_keys(init.vc_public_keys);
 
   Ucert u;
   u.vote_code = code;
@@ -221,22 +229,18 @@ TEST(VcProtocol, UcertValidationRules) {
         {i, crypto::schnorr_sign(
                 f.runner->artifacts().vc_inits[i].signing_key, digest)});
   }
-  EXPECT_TRUE(u.valid(init.params.election_id, serial, init.vc_public_keys,
-                      3));
+  EXPECT_TRUE(u.valid(init.params.election_id, serial, keys, 3));
   // Duplicate signer does not count twice.
   Ucert dup = u;
   dup.signatures.pop_back();
   dup.signatures.push_back(dup.signatures[0]);
-  EXPECT_FALSE(dup.valid(init.params.election_id, serial,
-                         init.vc_public_keys, 3));
+  EXPECT_FALSE(dup.valid(init.params.election_id, serial, keys, 3));
   // Signature over a different serial fails.
-  EXPECT_FALSE(u.valid(init.params.election_id, serial + 1,
-                       init.vc_public_keys, 3));
+  EXPECT_FALSE(u.valid(init.params.election_id, serial + 1, keys, 3));
   // Out-of-range node index ignored.
   Ucert oob = u;
   oob.signatures[0].first = 99;
-  EXPECT_FALSE(oob.valid(init.params.election_id, serial,
-                         init.vc_public_keys, 3));
+  EXPECT_FALSE(oob.valid(init.params.election_id, serial, keys, 3));
 }
 
 // A scripted process at a VC id: at start it multicasts one ANNOUNCE with
@@ -343,6 +347,334 @@ TEST(VcProtocol, EarlyAnnounceEntriesWaitForElectionEnd) {
   for (const vc::VcNode* node : nodes) {
     EXPECT_EQ(node->final_vote_set(), expected);
   }
+}
+
+// --- Certified-code VOTE_P path --------------------------------------------
+// A collector checks a UCERT only for a ballot it holds no certified code
+// for. These tests run real collectors beside scripted ones (ScriptedPeer)
+// on one simulator and read the collectors' signature counters.
+
+// (part, line) of `code` in a collector's ballot data.
+std::pair<std::uint8_t, std::uint32_t> locate(const VcBallotInit& ballot,
+                                              BytesView code) {
+  for (std::uint8_t p = 0; p < kNumParts; ++p) {
+    for (std::uint32_t l = 0; l < ballot.parts[p].size(); ++l) {
+      const VcLineInit& li = ballot.parts[p][l];
+      if (crypto::salted_commit_check(li.code_hash, code, li.salt)) {
+        return {p, l};
+      }
+    }
+  }
+  ADD_FAILURE() << "vote code not in ballot";
+  return {0, 0};
+}
+
+// The VOTE_P collector `init` would send for (serial, code): its genuine
+// share and Merkle path, with `ucert` attached as given.
+VotePMsg vote_p_from(const VcInit& init, Serial serial, const Bytes& code,
+                     Ucert ucert) {
+  const VcBallotInit& ballot =
+      init.ballots[serial - init.ballots.front().serial];
+  auto [part, line] = locate(ballot, code);
+  VotePMsg vp;
+  vp.serial = serial;
+  vp.vote_code = code;
+  vp.part = part;
+  vp.line = line;
+  vp.receipt_share = ballot.parts[part][line].receipt_share;
+  vp.share_path = ballot.parts[part][line].share_path;
+  vp.ucert = std::move(ucert);
+  return vp;
+}
+
+// A certificate for `code` whose signatures do not verify.
+Ucert garbage_ucert(const Bytes& code) {
+  Ucert u;
+  u.vote_code = code;
+  for (std::uint32_t i = 0; i < 3; ++i) u.signatures.push_back({i, Bytes(65, 7)});
+  return u;
+}
+
+// A scripted collector at a VC id. It answers ENDORSE with its real
+// signature after `endorse_delay` (when `endorse` is set) and, when
+// `forged_endorsements` > 0, right away with that many forged ones
+// instead; it answers the first VOTE_P of a ballot with its own share and
+// the UCERT it received (when `disclose` is set); and it sends each of
+// `sends` at its time.
+class ScriptedPeer : public sim::Process {
+ public:
+  explicit ScriptedPeer(VcInit init) : init_(std::move(init)) {}
+  bool endorse = true;
+  sim::Duration endorse_delay = 0;
+  std::size_t forged_endorsements = 0;
+  bool disclose = true;
+  struct Send {
+    sim::Duration at;
+    sim::NodeId to;
+    Bytes msg;
+  };
+  std::vector<Send> sends;
+
+  void on_start() override {
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      timers_[ctx().set_timer(sends[i].at)] = [this, i] {
+        ctx().send(sends[i].to, sends[i].msg);
+      };
+    }
+  }
+  void on_timer(std::uint64_t token) override {
+    auto it = timers_.find(token);
+    if (it == timers_.end()) return;
+    auto fn = std::move(it->second);
+    timers_.erase(it);
+    fn();
+  }
+  void on_message(sim::NodeId from, const net::Buffer& payload) override {
+    Reader r(payload.view());
+    auto type = static_cast<MsgType>(r.u8());
+    auto index = static_cast<std::uint32_t>(init_.node_index);
+    if (type == MsgType::kEndorse) {
+      EndorseMsg m = EndorseMsg::decode(r);
+      for (std::size_t i = 0; i < forged_endorsements; ++i) {
+        ctx().send(from, EndorsementMsg{m.serial, m.vote_code, index,
+                                        Bytes(65, 0x5a)}
+                             .encode());
+      }
+      if (!endorse || forged_endorsements > 0) return;
+      Bytes sig = crypto::schnorr_sign(
+          init_.signing_key,
+          endorsement_digest(init_.params.election_id, m.serial, m.vote_code));
+      Bytes reply = EndorsementMsg{m.serial, m.vote_code, index, sig}.encode();
+      timers_[ctx().set_timer(endorse_delay)] = [this, from, reply] {
+        ctx().send(from, reply);
+      };
+    } else if (type == MsgType::kVoteP && disclose) {
+      VotePMsg m = VotePMsg::decode(r);
+      if (!disclosed_.insert(m.serial).second) return;
+      net::Buffer vp =
+          vote_p_from(init_, m.serial, m.vote_code, m.ucert).encode();
+      for (sim::NodeId id : {0, 1, 2, 3}) ctx().send(id, vp);
+    }
+  }
+
+ private:
+  VcInit init_;
+  std::map<std::uint64_t, std::function<void()>> timers_;
+  std::set<Serial> disclosed_;
+};
+
+// Collectors 0..n_real-1 are real VcNodes, the rest of the four VC ids are
+// ScriptedPeers, and the voter (a RawClient) comes last.
+struct Cluster {
+  explicit Cluster(std::size_t n_real)
+      : arts(ea::ea_setup({tiny_params(2), 31, false, 64})), sim(5) {
+    std::vector<sim::NodeId> vc_ids{0, 1, 2, 3};
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (i < n_real) {
+        auto node = std::make_unique<vc::VcNode>(
+            arts.vc_inits[i],
+            std::make_shared<store::MemoryBallotSource>(
+                arts.vc_inits[i].ballots),
+            vc_ids, std::vector<sim::NodeId>{});
+        real.push_back(node.get());
+        sim.add_node(std::move(node), "vc" + std::to_string(i));
+      } else {
+        auto peer = std::make_unique<ScriptedPeer>(arts.vc_inits[i]);
+        scripted.push_back(peer.get());
+        sim.add_node(std::move(peer), "scripted" + std::to_string(i));
+      }
+    }
+    auto voter_owner = std::make_unique<RawClient>();
+    voter = voter_owner.get();
+    sim.add_node(std::move(voter_owner), "voter");
+  }
+  // Summed over the collector's shards.
+  std::pair<std::uint64_t, std::uint64_t> signature_work(std::size_t i) const {
+    std::uint64_t batches = 0, checks = 0;
+    for (const vc::VcShardStats& s : real[i]->shard_stats()) {
+      batches += s.signature_batches;
+      checks += s.signature_checks;
+    }
+    return {batches, checks};
+  }
+  ea::SetupArtifacts arts;
+  sim::Simulation sim;
+  std::vector<vc::VcNode*> real;
+  std::vector<ScriptedPeer*> scripted;  // VC ids n_real..3
+  RawClient* voter = nullptr;
+};
+
+TEST(VcProtocol, VotePWithUcertForgedForOtherCodeRefused) {
+  Cluster c(3);
+  c.scripted[0]->endorse = false;
+  c.scripted[0]->disclose = false;
+  const Ballot& voted = c.arts.voter_ballots[0];
+  const Ballot& fresh = c.arts.voter_ballots[1];
+  const Bytes& code_a = voted.parts[0].lines[0].vote_code;
+  const Bytes& code_b = voted.parts[1].lines[0].vote_code;
+  // Signatures of collectors 0..2 over code A, attached as a UCERT for B.
+  auto forged_for_b = [&](Serial serial, const Bytes& a, const Bytes& b) {
+    Ucert u;
+    u.vote_code = b;
+    Bytes digest = endorsement_digest(c.arts.vc_inits[0].params.election_id,
+                                      serial, a);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      u.signatures.push_back(
+          {i, crypto::schnorr_sign(c.arts.vc_inits[i].signing_key, digest)});
+    }
+    return vote_p_from(c.arts.vc_inits[3], serial, b, u).encode();
+  };
+  c.voter->send_to(0, VoteMsg{voted.serial, code_a}.encode());
+  c.sim.start();
+  c.sim.run_until(2'000'000);
+  ASSERT_EQ(c.voter->replies.size(), 1u);
+  ASSERT_EQ(c.voter->replies[0].second.status, VoteReplyStatus::kOk);
+  auto before = c.signature_work(1);
+
+  // Ballot 0 is certified for A everywhere: the VOTE_P for B is dropped
+  // without a signature check. Ballot 1 is fresh at node 2: the forged
+  // certificate is checked there and refused.
+  c.scripted[0]->sends = {
+      {0, 1, forged_for_b(voted.serial, code_a, code_b)},
+      {0, 2,
+       forged_for_b(fresh.serial, fresh.parts[0].lines[0].vote_code,
+                    fresh.parts[1].lines[0].vote_code)}};
+  c.scripted[0]->on_start();
+  c.sim.run_until(3'000'000);
+  EXPECT_EQ(c.signature_work(1), before);
+  EXPECT_GT(c.signature_work(2).second, 0u);  // the batch failed
+
+  c.voter->send_to(1, VoteMsg{voted.serial, code_b}.encode());
+  c.voter->send_to(2, VoteMsg{fresh.serial,
+                              fresh.parts[0].lines[0].vote_code}
+                          .encode());
+  c.voter->on_start();
+  c.sim.run_until_idle();
+  ASSERT_EQ(c.voter->replies.size(), 3u);
+  for (const auto& [from, reply] : c.voter->replies) {
+    if (reply.serial == voted.serial && from == 1) {
+      EXPECT_EQ(reply.status, VoteReplyStatus::kAlreadyVoted);
+    } else if (reply.serial == fresh.serial) {
+      EXPECT_EQ(reply.status, VoteReplyStatus::kOk);
+      EXPECT_EQ(reply.receipt, fresh.parts[0].lines[0].receipt);
+    }
+  }
+  std::vector<VoteSetEntry> expected{
+      {voted.serial, code_a}, {fresh.serial, fresh.parts[0].lines[0].vote_code}};
+  for (const vc::VcNode* node : c.real) {
+    ASSERT_TRUE(node->push_complete());
+    EXPECT_EQ(node->final_vote_set(), expected);
+  }
+}
+
+TEST(VcProtocol, GarbageUcertForCertifiedCodeOnlyAddsItsShare) {
+  // Collectors 0 and 1 are real; scripted 2 endorses but keeps its share,
+  // scripted 3 stays silent. Node 0 certifies code A and holds shares 0
+  // and 1. A VOTE_P for A with a garbage UCERT and a tampered share adds
+  // nothing, nor does a genuine share for the ballot's other code B; one
+  // with a garbage UCERT and a genuine share for A completes the receipt.
+  // No certificate is checked.
+  Cluster c(2);
+  const Ballot& ballot = c.arts.voter_ballots[0];
+  const Bytes& code = ballot.parts[0].lines[1].vote_code;
+  const Bytes& other = ballot.parts[1].lines[1].vote_code;
+  c.scripted[0]->disclose = false;
+  c.scripted[1]->endorse = false;
+  c.scripted[1]->disclose = false;
+  VotePMsg tampered =
+      vote_p_from(c.arts.vc_inits[2], ballot.serial, code, garbage_ucert(code));
+  tampered.receipt_share.y = tampered.receipt_share.y + crypto::Fn::one();
+  c.scripted[0]->sends = {
+      {1'000'000, 0, tampered.encode()},
+      {1'200'000, 0,
+       vote_p_from(c.arts.vc_inits[2], ballot.serial, other,
+                   garbage_ucert(other))
+           .encode()}};
+  c.scripted[1]->sends = {
+      {2'000'000, 0,
+       vote_p_from(c.arts.vc_inits[3], ballot.serial, code,
+                   garbage_ucert(code))
+           .encode()}};
+  c.voter->send_to(0, VoteMsg{ballot.serial, code}.encode());
+  c.sim.start();
+  c.sim.run_until(1'500'000);
+  EXPECT_TRUE(c.voter->replies.empty());
+  c.sim.run_until(2'500'000);
+  ASSERT_EQ(c.voter->replies.size(), 1u);
+  EXPECT_EQ(c.voter->replies[0].second.status, VoteReplyStatus::kOk);
+  EXPECT_EQ(c.voter->replies[0].second.receipt, ballot.parts[0].lines[1].receipt);
+  // One batch: the endorsement quorum. No UCERT was checked.
+  EXPECT_EQ(c.signature_work(0), (std::pair<std::uint64_t, std::uint64_t>{1, 0}));
+}
+
+TEST(VcProtocol, BallotRestoredFromPendingRecordCountsAsCertified) {
+  // Node 0 restarts over a log holding one kWalPending record for code A
+  // (with a certificate it does not check again: a node trusts its log).
+  // Garbage-UCERT VOTE_Ps carrying genuine shares complete the receipt.
+  Cluster c(1);
+  const Ballot& ballot = c.arts.voter_ballots[0];
+  const Bytes& code = ballot.parts[1].lines[0].vote_code;
+  const VcBallotInit& mine = c.arts.vc_inits[0].ballots[0];
+  auto [part, line] = locate(mine, code);
+  std::string path = std::string(::testing::TempDir()) +
+                     "vc_protocol_pending_" + std::to_string(::getpid()) +
+                     ".wal";
+  std::remove(path.c_str());
+  {
+    store::Wal wal(path);
+    wal.replay([](std::uint8_t, BytesView) {});
+    Writer w;
+    w.u64(0);  // instance
+    w.bytes(code);
+    w.u8(part);
+    w.u32(line);
+    garbage_ucert(code).encode(w);
+    wal.append(vc::kWalPending, w.take());
+    wal.sync();
+  }
+  c.real[0]->attach_wal(std::make_unique<store::Wal>(path));
+  for (std::size_t i = 0; i < 3; ++i) {
+    c.scripted[i]->endorse = false;
+    c.scripted[i]->disclose = false;
+  }
+  for (std::size_t i : {1, 2}) {
+    c.scripted[i - 1]->sends = {
+        {500'000, 0,
+         vote_p_from(c.arts.vc_inits[i], ballot.serial, code,
+                     garbage_ucert(code))
+             .encode()}};
+  }
+  c.voter->send_to(0, VoteMsg{ballot.serial, code}.encode());
+  c.sim.start();
+  c.sim.run_until(1'000'000);
+  ASSERT_EQ(c.voter->replies.size(), 1u);
+  EXPECT_EQ(c.voter->replies[0].second.status, VoteReplyStatus::kOk);
+  EXPECT_EQ(c.voter->replies[0].second.receipt, ballot.parts[1].lines[0].receipt);
+  EXPECT_EQ(c.signature_work(0), (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
+  std::remove(path.c_str());
+}
+
+TEST(VcProtocol, RepeatedBadEndorsementsAreCheckedOnce) {
+  // Scripted 3 answers the ENDORSE with 20 forged endorsements at once;
+  // scripted 2 endorses honestly 0.5 s later. The responder's first
+  // quorum batch (its own, node 1's and a forged one) fails, one check per
+  // signature blames collector 3, its 19 repeats cost nothing, and
+  // collector 2's endorsement completes the certificate.
+  Cluster c(2);
+  const Ballot& ballot = c.arts.voter_ballots[1];
+  const Bytes& code = ballot.parts[0].lines[0].vote_code;
+  c.scripted[0]->endorse_delay = 500'000;
+  c.scripted[1]->forged_endorsements = 20;
+  c.scripted[1]->disclose = false;
+  c.voter->send_to(0, VoteMsg{ballot.serial, code}.encode());
+  c.sim.start();
+  c.sim.run_until(2'000'000);
+  ASSERT_EQ(c.voter->replies.size(), 1u);
+  EXPECT_EQ(c.voter->replies[0].second.status, VoteReplyStatus::kOk);
+  EXPECT_EQ(c.voter->replies[0].second.receipt, ballot.parts[0].lines[0].receipt);
+  auto [batches, checks] = c.signature_work(0);
+  EXPECT_EQ(batches, 2u);  // the failed quorum, then collector 2 alone
+  EXPECT_EQ(checks, c.arts.vc_inits[0].params.vc_quorum());
 }
 
 TEST(VcProtocol, ConcurrentVotersOnDifferentNodes) {
