@@ -41,8 +41,9 @@ int main(int argc, char** argv) {
   store::DiskBallotSource src(dir + "/vc0.ballots", 64);
   std::printf("store: %zu ballots on disk\n", src.size());
   crypto::Rng rng(1);
+  core::VcBallotInit buf;
   for (int i = 0; i < 2000; ++i) {
-    (void)src.find(src.serial_at(rng.below(src.size())));
+    (void)src.find(src.serial_at(rng.below(src.size())), buf);
   }
   std::printf("2000 random lookups: %llu page reads, %llu cache hits\n",
               static_cast<unsigned long long>(src.page_reads()),

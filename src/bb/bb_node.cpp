@@ -5,6 +5,7 @@
 #include "crypto/batch.hpp"
 #include "crypto/commit.hpp"
 #include "crypto/schnorr.hpp"
+#include "crypto/shamir.hpp"
 #include "ea/ea.hpp"
 #include "util/error.hpp"
 
@@ -24,10 +25,9 @@ std::uint64_t scalar_to_u64(const crypto::Fn& s) {
   return v;
 }
 
-// Combined check over a trustee dataset's Pedersen-VSS shares: one
-// random-linear-combination MSM covers every share; on failure the
-// per-instance verifier re-runs so a structurally valid message with any
-// bad share is rejected exactly as the serial loops rejected it.
+// Combined check over a trustee's tally shares: one random-linear-
+// combination MSM covers every share; on failure the per-instance verifier
+// re-runs so a message with any bad share is rejected.
 bool verify_vss_instances(
     const std::vector<crypto::PedersenVssInstance>& insts) {
   if (crypto::pedersen_vss_verify_batch(insts)) return true;
@@ -35,6 +35,77 @@ bool verify_vss_instances(
                      [](const crypto::PedersenVssInstance& i) {
                        return crypto::pedersen_vss_verify(i.share, i.comms);
                      });
+}
+
+// The part whose ZK proofs the trustees complete; the others are opened.
+bool is_used(const PublishedBallot& pb, std::size_t part) {
+  return pb.voted && pb.used_part == part;
+}
+
+// A ballot's trustee shares come in a fixed slot order: for the used part,
+// per line, the four bit-proof responses (c0, c1, z0, z1) of each option
+// and then the sum-proof response; for an opened part, per line, the
+// (message, randomness) opening pair of each option. A response's
+// commitment is u + challenge * v over the (u, v) polynomial pair the EA
+// committed; an opening's is the committed polynomial alone.
+// Returns the ballot's commitment slots, or nullopt if its EA data has the
+// wrong shape (then no trustee dataset can match it).
+std::optional<std::vector<crypto::VssSlot>> ballot_slots(
+    const BbBallotInit& ballot, const PublishedBallot& pb, std::size_t m) {
+  std::vector<crypto::VssSlot> slots;
+  for (std::size_t part = 0; part < kNumParts; ++part) {
+    for (const BbLineInit& line : ballot.parts[part]) {
+      if (is_used(pb, part)) {
+        const auto& zc = line.zk_comms;
+        if (zc.size() != 8 * m + 2) return std::nullopt;
+        for (std::size_t i = 0; i < 4 * m + 1; ++i) {
+          slots.push_back({zc[2 * i], zc[2 * i + 1]});
+        }
+      } else {
+        if (line.opening_comms.size() != 2 * m) return std::nullopt;
+        for (const auto& comms : line.opening_comms) {
+          slots.push_back({comms, {}});
+        }
+      }
+    }
+  }
+  return slots;
+}
+
+// A trustee dataset's shares in slot order, or nullopt if its shape does
+// not match the ballot's.
+std::optional<std::vector<crypto::PedersenShare>> dataset_shares(
+    const TrusteeBallotMsg& msg, const BbBallotInit& ballot,
+    const PublishedBallot& pb, std::size_t m) {
+  if ((msg.voted != 0) != pb.voted) return std::nullopt;
+  if (pb.voted && msg.used_part != pb.used_part) return std::nullopt;
+  std::vector<crypto::PedersenShare> shares;
+  for (std::size_t part = 0; part < kNumParts; ++part) {
+    const TrusteePartData& pd = msg.parts[part];
+    const std::size_t n_lines = ballot.parts[part].size();
+    if (is_used(pb, part)) {
+      if (pd.zk_bits.size() != n_lines || pd.zk_sum.size() != n_lines) {
+        return std::nullopt;
+      }
+      for (std::size_t l = 0; l < n_lines; ++l) {
+        if (pd.zk_bits[l].size() != m) return std::nullopt;
+        for (const auto& resp : pd.zk_bits[l]) {
+          shares.insert(shares.end(), resp.begin(), resp.end());
+        }
+        shares.push_back(pd.zk_sum[l]);
+      }
+    } else {
+      if (pd.openings.size() != n_lines) return std::nullopt;
+      for (std::size_t l = 0; l < n_lines; ++l) {
+        if (pd.openings[l].size() != m) return std::nullopt;
+        for (const auto& [ms, rs] : pd.openings[l]) {
+          shares.push_back(ms);
+          shares.push_back(rs);
+        }
+      }
+    }
+  }
+  return shares;
 }
 
 void encode_published_line(Writer& w, const PublishedLine& l) {
@@ -256,8 +327,8 @@ void BbNode::maybe_decrypt_codes() {
   codes_published_ = true;
   codes_at_ = now_safe();
   // Combine any trustee data that arrived early.
-  for (const auto& [serial, per_trustee] : trustee_ballot_data_) {
-    (void)per_trustee;
+  for (const auto& [serial, tb] : trustee_ballots_) {
+    (void)tb;
     maybe_combine_ballot(serial);
   }
   maybe_publish_result();
@@ -266,19 +337,24 @@ void BbNode::maybe_decrypt_codes() {
 void BbNode::handle_trustee_ballot(Reader& r) {
   TrusteeBallotMsg m = TrusteeBallotMsg::decode(r);
   if (m.trustee_index >= init_.params.n_trustees) return;
+  if (!serial_index_.count(m.serial)) return;
+  TrusteeBallots& tb = trustee_ballots_[m.serial];
+  if (tb.combined) return;  // everything it could open is published
   if (!crypto::schnorr_verify(trustee_keys_[m.trustee_index],
                               m.signing_bytes(init_.params.election_id),
                               m.signature)) {
     return;
   }
-  if (!serial_index_.count(m.serial)) return;
   Serial serial = m.serial;
-  trustee_ballot_data_[serial][m.trustee_index] = std::move(m);
+  tb.by_trustee[m.trustee_index] = TrusteeDataset{std::move(m), std::nullopt};
   maybe_combine_ballot(serial);
 }
 
 void BbNode::maybe_combine_ballot(Serial serial) {
   if (!codes_published_) return;
+  auto tit = trustee_ballots_.find(serial);
+  if (tit == trustee_ballots_.end() || tit->second.combined) return;
+  TrusteeBallots& tb = tit->second;
   auto pit = published_.find(serial);
   if (pit == published_.end()) return;
   PublishedBallot& pb = pit->second;
@@ -286,146 +362,94 @@ void BbNode::maybe_combine_ballot(Serial serial) {
   const std::size_t m = init_.params.m();
   const std::size_t ht = init_.params.h_trustees;
 
-  // Already fully combined?
-  bool need = false;
-  for (std::size_t part = 0; part < kNumParts; ++part) {
-    bool used = pb.voted && pb.used_part == part;
-    for (const PublishedLine& l : pb.lines[part]) {
-      if (used ? !l.zk_complete : !l.opened) need = true;
+  auto slots = ballot_slots(ballot, pb, m);
+  if (!slots) return;
+  // Structural pass: every dataset not yet rejected, as shares in slot
+  // order; a misshapen one is rejected for good.
+  std::map<std::uint32_t, std::vector<crypto::PedersenShare>> shares;
+  for (auto& [tidx, ds] : tb.by_trustee) {
+    if (ds.valid == false) continue;
+    auto s = dataset_shares(ds.msg, ballot, pb, m);
+    if (s) {
+      shares.emplace(tidx, std::move(*s));
+    } else {
+      ds.valid = false;
     }
   }
-  if (!need) return;
+  if (shares.size() < ht) return;
 
-  auto dit = trustee_ballot_data_.find(serial);
-  if (dit == trustee_ballot_data_.end()) return;
-
-  // Validate whole trustee datasets; keep the first ht valid ones. The
-  // structural pass collects every Pedersen-VSS share with its commitment
-  // polynomial, then one batched check replaces the per-share loop.
-  std::vector<const TrusteeBallotMsg*> valid;
-  for (const auto& [tidx, msg] : dit->second) {
-    if ((msg.voted != 0) != pb.voted) continue;
-    if (pb.voted && msg.used_part != pb.used_part) continue;
-    bool ok = true;
-    std::vector<crypto::PedersenVssInstance> insts;
-    // The ZK responses are checked against u + challenge * v per
-    // coefficient of the committed (u, v) polynomial pair.
-    auto zk_instance = [&](const crypto::PedersenShare& share,
-                           const std::vector<crypto::Point>& u,
-                           const std::vector<crypto::Point>& v) {
-      std::vector<crypto::Point> comms(u.size());
-      for (std::size_t t = 0; t < u.size(); ++t) {
-        comms[t] = crypto::ec_add(u[t], crypto::ec_mul(challenge_, v[t]));
-      }
-      insts.push_back({share, std::move(comms)});
+  // One folded check covers every unchecked dataset; if it fails, each
+  // one is checked alone to find the bad ones.
+  std::vector<crypto::VssDataset> unchecked;
+  for (const auto& [tidx, s] : shares) {
+    if (!tb.by_trustee[tidx].valid) unchecked.push_back({tidx + 1, s});
+  }
+  if (!unchecked.empty()) {
+    Writer w;
+    w.bytes(init_.params.election_id);
+    w.u64(serial);
+    const Bytes context = w.take();
+    auto check = [&](std::span<const crypto::VssDataset> ds) {
+      return crypto::pedersen_vss_verify_folded(context, challenge_, *slots,
+                                                ds);
     };
-    for (std::size_t part = 0; part < kNumParts && ok; ++part) {
-      bool used = pb.voted && pb.used_part == part;
-      const TrusteePartData& pd = msg.parts[part];
-      const auto& lines = ballot.parts[part];
-      if (used) {
-        if (pd.zk_bits.size() != lines.size() ||
-            pd.zk_sum.size() != lines.size()) {
-          ok = false;
-          break;
-        }
-        for (std::size_t l = 0; l < lines.size() && ok; ++l) {
-          if (pd.zk_bits[l].size() != m) {
-            ok = false;
-            break;
-          }
-          const auto& zc = lines[l].zk_comms;
-          if (zc.size() != 8 * m + 2) {
-            ok = false;
-            break;
-          }
-          for (std::size_t j = 0; j < m; ++j) {
-            for (std::size_t k = 0; k < 4; ++k) {
-              zk_instance(pd.zk_bits[l][j][k], zc[8 * j + 2 * k],
-                          zc[8 * j + 2 * k + 1]);
-            }
-          }
-          zk_instance(pd.zk_sum[l], zc[8 * m], zc[8 * m + 1]);
-        }
-      } else {
-        if (pd.openings.size() != lines.size()) {
-          ok = false;
-          break;
-        }
-        for (std::size_t l = 0; l < lines.size() && ok; ++l) {
-          if (pd.openings[l].size() != m ||
-              lines[l].opening_comms.size() != 2 * m) {
-            ok = false;
-            break;
-          }
-          for (std::size_t j = 0; j < m; ++j) {
-            insts.push_back(
-                {pd.openings[l][j].first, lines[l].opening_comms[2 * j]});
-            insts.push_back(
-                {pd.openings[l][j].second, lines[l].opening_comms[2 * j + 1]});
-          }
-        }
-      }
+    const bool all_ok = check(unchecked);
+    for (const crypto::VssDataset& d : unchecked) {
+      tb.by_trustee[d.x - 1].valid =
+          all_ok || (unchecked.size() > 1 && check({&d, 1}));
     }
-    ok = ok && verify_vss_instances(insts);
-    if (ok) valid.push_back(&msg);
-    if (valid.size() == ht) break;
   }
-  if (valid.size() < ht) return;
 
-  // Combine: reconstruct openings and ZK responses.
-  auto reconstruct = [&](auto get_share) {
-    std::vector<crypto::PedersenShare> shares;
-    for (const TrusteeBallotMsg* msg : valid) shares.push_back(get_share(*msg));
-    return crypto::pedersen_vss_reconstruct(shares, ht).first;
+  // The first ht valid datasets in trustee-index order.
+  std::vector<std::uint32_t> xs;
+  std::vector<const std::vector<crypto::PedersenShare>*> chosen;
+  for (const auto& [tidx, s] : shares) {
+    if (xs.size() == ht) break;
+    if (!*tb.by_trustee[tidx].valid) continue;
+    xs.push_back(tidx + 1);
+    chosen.push_back(&s);
+  }
+  if (xs.size() < ht) return;
+
+  // Combine: reconstruct every slot's secret (f) with one set of Lagrange
+  // weights, walking the slots in their fixed order.
+  const std::vector<crypto::Fn> lambda = crypto::lagrange_at_zero(xs);
+  std::size_t q = 0;
+  auto next_secret = [&] {
+    crypto::Fn acc = crypto::Fn::zero();
+    for (std::size_t i = 0; i < chosen.size(); ++i) {
+      acc = acc + lambda[i] * (*chosen[i])[q].f;
+    }
+    ++q;
+    return acc;
   };
-
   for (std::size_t part = 0; part < kNumParts; ++part) {
-    bool used = pb.voted && pb.used_part == part;
-    const auto& lines = ballot.parts[part];
-    for (std::size_t l = 0; l < lines.size(); ++l) {
-      PublishedLine& pl = pb.lines[part][l];
-      if (used) {
-        if (pl.zk_complete) continue;
+    for (PublishedLine& pl : pb.lines[part]) {
+      if (is_used(pb, part)) {
         pl.bit_responses.clear();
         for (std::size_t j = 0; j < m; ++j) {
           crypto::BitProofResponse resp;
-          resp.c0 = reconstruct([&](const TrusteeBallotMsg& t) {
-            return t.parts[part].zk_bits[l][j][0];
-          });
-          resp.c1 = reconstruct([&](const TrusteeBallotMsg& t) {
-            return t.parts[part].zk_bits[l][j][1];
-          });
-          resp.z0 = reconstruct([&](const TrusteeBallotMsg& t) {
-            return t.parts[part].zk_bits[l][j][2];
-          });
-          resp.z1 = reconstruct([&](const TrusteeBallotMsg& t) {
-            return t.parts[part].zk_bits[l][j][3];
-          });
+          resp.c0 = next_secret();
+          resp.c1 = next_secret();
+          resp.z0 = next_secret();
+          resp.z1 = next_secret();
           pl.bit_responses.push_back(resp);
         }
-        pl.sum_response = reconstruct([&](const TrusteeBallotMsg& t) {
-          return t.parts[part].zk_sum[l];
-        });
+        pl.sum_response = next_secret();
         pl.zk_complete = true;
       } else {
-        if (pl.opened) continue;
         pl.messages.clear();
         pl.randomness.clear();
         for (std::size_t j = 0; j < m; ++j) {
-          crypto::Fn mj = reconstruct([&](const TrusteeBallotMsg& t) {
-            return t.parts[part].openings[l][j].first;
-          });
-          crypto::Fn rj = reconstruct([&](const TrusteeBallotMsg& t) {
-            return t.parts[part].openings[l][j].second;
-          });
-          pl.messages.push_back(scalar_to_u64(mj));
-          pl.randomness.push_back(rj);
+          pl.messages.push_back(scalar_to_u64(next_secret()));
+          pl.randomness.push_back(next_secret());
         }
         pl.opened = true;
       }
     }
   }
+  tb.combined = true;
+  tb.by_trustee.clear();
   maybe_publish_result();
 }
 
@@ -438,6 +462,11 @@ void BbNode::handle_trustee_tally(Reader& r) {
     return;
   }
   if (m.totals.size() != init_.params.m()) return;
+  // Every share must sit at the trustee's own point: the BB reconstructs
+  // with Lagrange weights for the trustee indices it chose.
+  for (const auto& [ms, rs] : m.totals) {
+    if (ms.x != m.trustee_index + 1 || rs.x != m.trustee_index + 1) return;
+  }
   trustee_tally_data_[m.trustee_index] = std::move(m);
   maybe_publish_result();
 }
@@ -499,15 +528,22 @@ void BbNode::maybe_publish_result() {
   }
   if (valid.size() < ht) return;
 
+  std::vector<std::uint32_t> xs;
+  for (const TrusteeTallyMsg* t : valid) xs.push_back(t->trustee_index + 1);
+  const std::vector<crypto::Fn> lambda = crypto::lagrange_at_zero(xs);
+  auto reconstruct = [&](auto get_share) {
+    crypto::Fn acc = crypto::Fn::zero();
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      acc = acc + lambda[i] * get_share(*valid[i]).f;
+    }
+    return acc;
+  };
   ElectionResult res;
   for (std::size_t j = 0; j < m; ++j) {
-    std::vector<crypto::PedersenShare> ms, rs;
-    for (const TrusteeTallyMsg* t : valid) {
-      ms.push_back(t->totals[j].first);
-      rs.push_back(t->totals[j].second);
-    }
-    crypto::Fn tj = crypto::pedersen_vss_reconstruct(ms, ht).first;
-    crypto::Fn rj = crypto::pedersen_vss_reconstruct(rs, ht).first;
+    crypto::Fn tj = reconstruct(
+        [j](const TrusteeTallyMsg& t) { return t.totals[j].first; });
+    crypto::Fn rj = reconstruct(
+        [j](const TrusteeTallyMsg& t) { return t.totals[j].second; });
     // The opened total must match the homomorphic ciphertext sum.
     if (!crypto::eg_open_check(init_.commit_key, sums[j], tj, rj)) {
       return;  // inconsistent; wait for more trustees

@@ -144,9 +144,18 @@ class BbNode final : public sim::Process {
   Bytes coins_;
   crypto::Fn challenge_;
 
-  // Trustee data: per serial, per trustee index.
-  std::map<core::Serial, std::map<std::uint32_t, core::TrusteeBallotMsg>>
-      trustee_ballot_data_;
+  // Trustee data per serial. A dataset keeps its verdict until its trustee
+  // replaces it; once the ballot is combined its datasets are freed, and
+  // later ones are dropped before their signature check.
+  struct TrusteeDataset {
+    core::TrusteeBallotMsg msg;
+    std::optional<bool> valid;  // unset until checked
+  };
+  struct TrusteeBallots {
+    std::map<std::uint32_t, TrusteeDataset> by_trustee;
+    bool combined = false;
+  };
+  std::map<core::Serial, TrusteeBallots> trustee_ballots_;
   std::map<std::uint32_t, core::TrusteeTallyMsg> trustee_tally_data_;
   std::map<core::Serial, PublishedBallot> published_;
   std::optional<ElectionResult> result_;

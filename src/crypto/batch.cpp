@@ -339,6 +339,99 @@ bool pedersen_vss_verify_batch(std::span<const PedersenVssInstance> xs,
   });
 }
 
+bool pedersen_vss_verify_folded(BytesView context, const Fn& c,
+                                std::span<const VssSlot> slots,
+                                std::span<const VssDataset> datasets) {
+  if (datasets.empty()) return true;
+  std::size_t n_points = 0;
+  std::size_t max_degree = 0;
+  for (const VssSlot& s : slots) {
+    if (s.u.empty() || (!s.v.empty() && s.v.size() != s.u.size())) {
+      return false;
+    }
+    n_points += s.u.size() + s.v.size();
+    max_degree = std::max(max_degree, s.u.size());
+  }
+  for (const VssDataset& d : datasets) {
+    if (d.shares.size() != slots.size()) return false;
+    for (const PedersenShare& sh : d.shares) {
+      if (sh.x != d.x) return false;
+    }
+  }
+
+  Sha256 seed;
+  seed.update(to_bytes("ddemos/batch/pvss-folded"));
+  seed.update(context);
+  absorb_scalar(seed, c);
+  for (const VssSlot& s : slots) {
+    for (const Point& p : s.u) absorb_point(seed, p);
+    for (const Point& p : s.v) absorb_point(seed, p);
+  }
+  for (const VssDataset& d : datasets) {
+    std::uint8_t idx[4];
+    for (int i = 0; i < 4; ++i) {
+      idx[i] = static_cast<std::uint8_t>(d.x >> (8 * i));
+    }
+    seed.update(BytesView(idx, 4));
+    for (const PedersenShare& sh : d.shares) {
+      absorb_scalar(seed, sh.f);
+      absorb_scalar(seed, sh.g);
+    }
+  }
+  WeightStream ws(seed.finish());
+
+  // sums[at[q] + t] collects sum_d w_dq*x_d^t for coefficient t of slot q;
+  // G and H collect sum w*f and sum w*g.
+  std::vector<std::size_t> at(slots.size());
+  std::size_t n_coeffs = 0;
+  for (std::size_t q = 0; q < slots.size(); ++q) {
+    at[q] = n_coeffs;
+    n_coeffs += slots[q].u.size();
+  }
+  std::vector<Fn> sums(n_coeffs, Fn::zero());
+  std::vector<Fn> xpow(max_degree);
+  Fn g_coeff = Fn::zero();
+  Fn h_coeff = Fn::zero();
+  for (const VssDataset& d : datasets) {
+    Fn x = Fn::from_u64(d.x);
+    Fn xp = Fn::one();
+    for (Fn& p : xpow) {
+      p = xp;
+      xp = xp * x;
+    }
+    for (std::size_t q = 0; q < slots.size(); ++q) {
+      Fn w = ws.next();
+      g_coeff = g_coeff + w * d.shares[q].f;
+      h_coeff = h_coeff + w * d.shares[q].g;
+      for (std::size_t t = 0; t < slots[q].u.size(); ++t) {
+        sums[at[q] + t] = sums[at[q] + t] + w * xpow[t];
+      }
+    }
+  }
+
+  // sum_q sum_t s_qt*u_qt + (c*s_qt)*v_qt - g*G - h*H == 0.
+  std::vector<Fn> ks;
+  std::vector<Point> ps;
+  ks.reserve(n_points + 2);
+  ps.reserve(n_points + 2);
+  for (std::size_t q = 0; q < slots.size(); ++q) {
+    const VssSlot& s = slots[q];
+    for (std::size_t t = 0; t < s.u.size(); ++t) {
+      ks.push_back(sums[at[q] + t]);
+      ps.push_back(s.u[t]);
+      if (!s.v.empty()) {
+        ks.push_back(c * sums[at[q] + t]);
+        ps.push_back(s.v[t]);
+      }
+    }
+  }
+  ks.push_back(g_coeff.neg());
+  ps.push_back(ec_generator());
+  ks.push_back(h_coeff.neg());
+  ps.push_back(ec_generator_h());
+  return ec_msm(ks, ps).is_infinity();
+}
+
 bool eg_open_check_batch(const Point& key, std::span<const EgOpenInstance> xs,
                          util::ThreadPool* pool) {
   return chunked_batch(xs, pool, [&key](std::span<const EgOpenInstance> c) {

@@ -90,4 +90,31 @@ struct PedersenVssInstance {
 bool pedersen_vss_verify_batch(std::span<const PedersenVssInstance> xs,
                                util::ThreadPool* pool = nullptr);
 
+// A commitment polynomial that several share holders' shares are checked
+// against: coefficient t commits as u[t] + c*v[t], with c the scalar
+// passed to pedersen_vss_verify_folded. An empty v means u[t] alone.
+struct VssSlot {
+  std::span<const Point> u;
+  std::span<const Point> v;  // empty, or as long as u
+};
+// One share holder's shares at a single evaluation point: shares[q] lies
+// on slot q, and every share's x must equal x.
+struct VssDataset {
+  std::uint32_t x = 0;
+  std::span<const PedersenShare> shares;
+};
+// Checks every dataset against every slot in one MSM:
+//   sum_d sum_q w_dq*(f_dq*G + g_dq*H - sum_t x_d^t (u_qt + c*v_qt)) == 0.
+// The scalars of one point are summed across datasets, so the MSM has
+// one term per slot point plus G and H, however many datasets there are.
+// The weights are seeded by `context` (the caller binds what the check is
+// about, e.g. election id and serial), c, every slot point and every
+// dataset's x and shares. Fails on a share count other than the slot
+// count, a share with another x, an empty u or a v of another length, as
+// the per-share verifier would. Check one dataset at a time to assign
+// blame. No datasets verify trivially.
+bool pedersen_vss_verify_folded(BytesView context, const Fn& c,
+                                std::span<const VssSlot> slots,
+                                std::span<const VssDataset> datasets);
+
 }  // namespace ddemos::crypto

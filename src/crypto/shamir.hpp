@@ -23,6 +23,12 @@ struct Share {
 std::vector<Share> shamir_deal(const Fn& secret, std::size_t k, std::size_t n,
                                Rng& rng);
 
+// Lagrange weights at 0 for the evaluation points xs: a secret shared at
+// those points is sum_i weights[i] * y_i. Compute them once per point set
+// and reconstruct any number of secrets as dot products. Throws
+// CryptoError if a point repeats.
+std::vector<Fn> lagrange_at_zero(std::span<const std::uint32_t> xs);
+
 // Lagrange interpolation at 0 using the first k distinct-x shares.
 // Throws CryptoError if fewer than k shares or duplicate x values.
 Fn shamir_reconstruct(std::span<const Share> shares, std::size_t k);

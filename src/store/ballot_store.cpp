@@ -19,10 +19,10 @@ MemoryBallotSource::MemoryBallotSource(std::vector<VcBallotInit> ballots)
   }
 }
 
-std::optional<VcBallotInit> MemoryBallotSource::find(Serial serial) {
+const VcBallotInit* MemoryBallotSource::find(Serial serial, VcBallotInit&) {
   auto idx = index_of(serial);
-  if (!idx) return std::nullopt;
-  return ballots_[*idx];
+  if (!idx) return nullptr;
+  return &ballots_[*idx];
 }
 
 Serial MemoryBallotSource::serial_at(std::size_t idx) {
@@ -219,11 +219,11 @@ Serial DiskBallotSource::serial_at(std::size_t idx) {
   return index_entry(s, idx).serial;
 }
 
-std::optional<VcBallotInit> DiskBallotSource::find(Serial serial) {
+const VcBallotInit* DiskBallotSource::find(Serial serial, VcBallotInit& buf) {
   Stripe& s = stripe_for(serial);
   std::scoped_lock lk(s.mu);
   auto idx = index_of_locked(s, serial);
-  if (!idx) return std::nullopt;
+  if (!idx) return nullptr;
   IndexEntry e = index_entry(s, *idx);
   std::vector<std::uint8_t> blob(e.length);
   if (std::fseek(s.file,
@@ -234,9 +234,9 @@ std::optional<VcBallotInit> DiskBallotSource::find(Serial serial) {
     throw ProtocolError("truncated record");
   }
   Reader r(blob);
-  VcBallotInit b = VcBallotInit::decode(r);
+  buf = VcBallotInit::decode(r);
   r.expect_done();
-  return b;
+  return &buf;
 }
 
 }  // namespace ddemos::store

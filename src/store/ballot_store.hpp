@@ -23,8 +23,13 @@ namespace ddemos::store {
 class BallotDataSource {
  public:
   virtual ~BallotDataSource() = default;
-  // Fetches the initialization data for `serial`, or nullopt if unknown.
-  virtual std::optional<core::VcBallotInit> find(core::Serial serial) = 0;
+  // The initialization data for `serial`, or nullptr if unknown. A source
+  // that holds its ballots in memory returns a pointer to its own copy and
+  // leaves `buf` alone; one that reads them from disk decodes into `buf`
+  // and returns &buf, so concurrent callers share no state. The result
+  // lives as long as both the source and `buf`.
+  virtual const core::VcBallotInit* find(core::Serial serial,
+                                         core::VcBallotInit& buf) = 0;
   // Number of registered ballots.
   virtual std::size_t size() const = 0;
   // Serial of the idx-th ballot in ascending serial order (the dense
@@ -42,7 +47,8 @@ class MemoryBallotSource final : public BallotDataSource {
   // `ballots` must be sorted by serial (as produced by the EA).
   explicit MemoryBallotSource(std::vector<core::VcBallotInit> ballots);
 
-  std::optional<core::VcBallotInit> find(core::Serial serial) override;
+  const core::VcBallotInit* find(core::Serial serial,
+                                 core::VcBallotInit& buf) override;
   std::size_t size() const override { return ballots_.size(); }
   core::Serial serial_at(std::size_t idx) override;
   std::optional<std::size_t> index_of(core::Serial serial) override;
@@ -89,7 +95,8 @@ class DiskBallotSource final : public BallotDataSource {
                             std::size_t read_handles = 1);
   ~DiskBallotSource() override;
 
-  std::optional<core::VcBallotInit> find(core::Serial serial) override;
+  const core::VcBallotInit* find(core::Serial serial,
+                                 core::VcBallotInit& buf) override;
   std::size_t size() const override { return count_; }
   core::Serial serial_at(std::size_t idx) override;
   std::optional<std::size_t> index_of(core::Serial serial) override;

@@ -352,9 +352,9 @@ Bytes VcNode::sign_endorsement(Serial serial, BytesView code) {
       signing_key_, endorsement_digest(init_.params.election_id, serial, code));
 }
 
-std::optional<VcBallotInit> VcNode::find_ballot(Serial serial) {
+const VcBallotInit* VcNode::find_ballot(Serial serial, VcBallotInit& buf) {
   std::uint64_t before = source_->page_faults();
-  auto ballot = source_->find(serial);
+  const VcBallotInit* ballot = source_->find(serial, buf);
   if (opt_.page_fault_cost_us > 0) {
     std::uint64_t faults = source_->page_faults() - before;
     ctx().charge(static_cast<sim::Duration>(faults) *
@@ -442,7 +442,8 @@ void VcNode::handle_vote(NodeId from, Reader& r) {
     reply(VoteReplyStatus::kUnknown);
     return;
   }
-  auto ballot = find_ballot(m.serial);
+  VcBallotInit buf;
+  const VcBallotInit* ballot = find_ballot(m.serial, buf);
   if (!ballot) {
     reply(VoteReplyStatus::kUnknown);
     return;
@@ -493,7 +494,8 @@ void VcNode::handle_endorse(NodeId from, Reader& r) {
   if (!sender) return;
   auto inst = instance_of(m.serial);
   if (!inst) return;
-  auto ballot = find_ballot(m.serial);
+  VcBallotInit buf;
+  const VcBallotInit* ballot = find_ballot(m.serial, buf);
   if (!ballot || !verify_vote_code(*ballot, m.vote_code)) return;
   // Endorse at most one vote code per ballot, ever.
   BallotState& st = state_at(*inst);
@@ -590,7 +592,8 @@ bool VcNode::endorsement_quorum(Serial serial, EndorseState& es) {
 
 void VcNode::send_own_vote_p(Serial serial, BallotState& st) {
   if (st.vote_p_sent) return;
-  auto ballot = find_ballot(serial);
+  VcBallotInit buf;
+  const VcBallotInit* ballot = find_ballot(serial, buf);
   if (!ballot) return;
   const VcLineInit& li = ballot->parts[st.part][st.line];
   st.vote_p_sent = true;
@@ -627,7 +630,8 @@ void VcNode::handle_vote_p(NodeId from, Reader& r) {
   } else if (!verify_ucert(m.serial, m.ucert)) {
     return;
   }
-  auto ballot = find_ballot(m.serial);
+  VcBallotInit buf;
+  const VcBallotInit* ballot = find_ballot(m.serial, buf);
   if (!ballot) return;
   // The sender claims (part, line); verify the code actually hashes there.
   if (m.part >= kNumParts ||
@@ -808,7 +812,8 @@ void VcNode::adopt_entry(const AnnounceEntry& e) {
   st.code = e.vote_code;
   st.ucert = e.ucert;
   // Locate part/line for completeness (not on the critical path here).
-  auto ballot = find_ballot(serial);
+  VcBallotInit buf;
+  const VcBallotInit* ballot = find_ballot(serial, buf);
   if (ballot) {
     if (auto loc = verify_vote_code(*ballot, e.vote_code)) {
       st.part = loc->first;

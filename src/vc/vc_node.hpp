@@ -259,8 +259,10 @@ class VcNode final : public sim::ShardedProcess {
   // because serials are contiguous (checked at construction).
   std::optional<std::size_t> instance_of(core::Serial serial) const;
   BallotState& state_at(std::size_t instance) { return states_[instance]; }
-  // Store lookup with modeled storage latency per page fault.
-  std::optional<core::VcBallotInit> find_ballot(core::Serial serial);
+  // Store lookup with modeled storage latency per page fault; see
+  // store::BallotDataSource::find for who owns the result.
+  const core::VcBallotInit* find_ballot(core::Serial serial,
+                                        core::VcBallotInit& buf);
 
   core::VcInit init_;
   std::shared_ptr<store::BallotDataSource> source_;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/driver.hpp"
+#include "crypto/sha256.hpp"
+#include "util/hex.hpp"
 
 namespace ddemos::core {
 namespace {
@@ -81,6 +83,153 @@ TEST(MajorityReader, OutvotesDivergentReplica) {
   // A single reply is not enough for majority.
   client::MajorityReader reader1({&runner.bb_node(0)}, cfg.params.f_bb);
   EXPECT_FALSE(reader1.read("result").has_value());
+}
+
+// A seeded simulator election whose published BB bytes are pinned: one
+// SHA-256 per BB over every section in a fixed order (meta, voteset,
+// cast-info, challenge, result, then the ballot section of serials
+// 1..10), so a change to how the BB checks or combines trustee data cannot
+// alter them; plus the public audit's verdict.
+struct PinnedRun {
+  std::vector<std::string> digests;
+  bool audit_passed = false;
+};
+
+PinnedRun run_pinned_election(
+    std::uint64_t seed,
+    std::function<void(ea::SetupArtifacts&)> tamper_setup = {},
+    std::optional<std::size_t> late_trustee = std::nullopt) {
+  DriverConfig cfg;
+  cfg.params = small(10);
+  cfg.params.election_id = to_bytes("bb-hash");
+  cfg.params.options = {"a", "b", "c", "d"};
+  cfg.seed = seed;
+  cfg.workload = VoteListWorkload::make({0, 1, 2, 3, 0, 1, kAbstain, 2, 0, 3});
+  cfg.tamper_setup = std::move(tamper_setup);
+  ElectionDriver runner(cfg);
+  if (late_trustee) {
+    // Every message of this trustee arrives 100 ms late, so the BBs see
+    // the other two trustees' datasets first. The delay stays below the
+    // trustee's poll interval, or its BB reads would never be answered in
+    // time.
+    sim::NodeId late = runner.topology().trustee_ids[*late_trustee];
+    runner.simulation().set_link_filter(
+        [late](sim::NodeId from, sim::NodeId, sim::TimePoint) {
+          return std::optional<sim::Duration>(from == late ? 100'000 : 0);
+        });
+  }
+  runner.run();
+  PinnedRun out;
+  for (std::size_t bb = 0; bb < cfg.params.n_bb; ++bb) {
+    const bb::BbNode& node = runner.bb_node(bb);
+    crypto::Sha256 h;
+    auto absorb = [&](const char* section, std::uint64_t arg) {
+      auto bytes = node.read_section(section, arg);
+      EXPECT_TRUE(bytes.has_value()) << section << " " << arg;
+      if (bytes) h.update(*bytes);
+    };
+    for (const char* section : {"meta", "voteset", "cast-info", "challenge",
+                                "result"}) {
+      absorb(section, 0);
+    }
+    for (Serial s = 1; s <= 10; ++s) absorb("ballot", s);
+    out.digests.push_back(to_hex(crypto::hash_view(h.finish())));
+  }
+  client::Auditor auditor(runner.reader());
+  out.audit_passed = auditor.verify_election().passed;
+  return out;
+}
+
+constexpr const char* kSeed61Digest =
+    "bcda3ba48ce532b5521b8e6a81b15bd78c0c37d11eec817cd48bbc4305a177d6";
+
+TEST(BbNode, PublishedBytesArePinned) {
+  const std::pair<std::uint64_t, const char*> golden[] = {
+      {61, kSeed61Digest},
+      {99,
+       "7d14e236401c887737db723e2641e92dd2f59fb9e0c330f2984e0b69d08d4d4d"},
+  };
+  for (const auto& [seed, digest] : golden) {
+    PinnedRun run = run_pinned_election(seed);
+    for (const std::string& got : run.digests) {
+      EXPECT_EQ(got, digest) << "seed " << seed;
+    }
+    EXPECT_TRUE(run.audit_passed) << "seed " << seed;
+  }
+}
+
+// Damages one trustee's dealt shares, line by line. The trustee signs
+// whatever it holds, so its datasets arrive authentic but fail the BB's
+// share check.
+template <typename Damage>
+void corrupt(ea::SetupArtifacts& arts, std::size_t trustee, Damage damage) {
+  for (auto& ballot : arts.trustee_inits[trustee].ballots) {
+    for (auto& part : ballot.parts) {
+      for (TrusteeLineInit& line : part) damage(line);
+    }
+  }
+}
+// Only the v half of c1: it reaches the BB inside u + c*v.
+void corrupt_bits_v(TrusteeLineInit& l) {
+  l.zk_bits[0][3].f = l.zk_bits[0][3].f + crypto::Fn::one();
+}
+void corrupt_sum(TrusteeLineInit& l) {
+  l.sum_u.f = l.sum_u.f + crypto::Fn::one();
+}
+void corrupt_opening(TrusteeLineInit& l) {
+  l.open_m[1].f = l.open_m[1].f + crypto::Fn::one();
+}
+
+// ht = 2 of 3: every voted ballot and the tally are combined from the two
+// honest trustees, so every BB publishes exactly the bytes of the honest
+// election and the audit passes.
+TEST(Trustee, CorruptZkBitsVShareIsOutvoted) {
+  PinnedRun run = run_pinned_election(
+      61, [](ea::SetupArtifacts& a) { corrupt(a, 0, corrupt_bits_v); });
+  for (const std::string& got : run.digests) EXPECT_EQ(got, kSeed61Digest);
+  EXPECT_TRUE(run.audit_passed);
+}
+
+TEST(Trustee, CorruptZkSumShareIsOutvoted) {
+  // Trustee 1 is late, so every BB first folds the datasets of trustees 0
+  // and 2, must blame 2, and then combines 0 with 1.
+  PinnedRun run = run_pinned_election(
+      61, [](ea::SetupArtifacts& a) { corrupt(a, 2, corrupt_sum); }, 1);
+  for (const std::string& got : run.digests) EXPECT_EQ(got, kSeed61Digest);
+  EXPECT_TRUE(run.audit_passed);
+}
+
+TEST(Trustee, TwoCorruptTrusteesBlockTheResult) {
+  // Only trustee 1 is honest: no voted ballot reaches ht valid datasets,
+  // nor does the tally, and no BB publishes either.
+  DriverConfig cfg;
+  cfg.params = small(4);
+  cfg.seed = 71;
+  cfg.workload = VoteListWorkload::make({0, 1, kAbstain, 1});
+  cfg.tamper_setup = [](ea::SetupArtifacts& a) {
+    corrupt(a, 0, [](TrusteeLineInit& l) {
+      corrupt_bits_v(l);
+      corrupt_opening(l);
+    });
+    corrupt(a, 2, [](TrusteeLineInit& l) {
+      corrupt_sum(l);
+      corrupt_opening(l);
+    });
+  };
+  ElectionDriver runner(cfg);
+  runner.run();
+  for (std::size_t b = 0; b < cfg.params.n_bb; ++b) {
+    const bb::BbNode& node = runner.bb_node(b);
+    EXPECT_TRUE(node.codes_published());
+    EXPECT_FALSE(node.result_published());
+    EXPECT_FALSE(node.read_section("result").has_value());
+    for (const auto& [serial, pb] : node.published()) {
+      if (!pb.voted) continue;
+      for (const bb::PublishedLine& l : pb.lines[pb.used_part]) {
+        EXPECT_FALSE(l.zk_complete) << serial;
+      }
+    }
+  }
 }
 
 TEST(BbNode, VoteSetNeedsFvPlusOneIdenticalPushes) {

@@ -19,6 +19,42 @@ TEST(Shamir, ReconstructFromThreshold) {
   EXPECT_EQ(shamir_reconstruct(shares, 3), secret);
 }
 
+// Lagrange weights computed once per point set reconstruct every secret
+// shared at those points as a dot product, equal to shamir_reconstruct.
+TEST(Shamir, LagrangeWeightsMatchReconstruct) {
+  Rng rng(47);
+  constexpr std::size_t kK = 3, kN = 7;
+  std::vector<Fn> secrets;
+  std::vector<std::vector<Share>> dealt;
+  for (int s = 0; s < 4; ++s) {
+    secrets.push_back(random_scalar(rng));
+    dealt.push_back(shamir_deal(secrets.back(), kK, kN, rng));
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    // A random subset of kK..kN trustees, in random order.
+    std::vector<std::size_t> idx(kN);
+    for (std::size_t i = 0; i < kN; ++i) idx[i] = i;
+    for (std::size_t i = kN; i > 1; --i) std::swap(idx[i - 1], idx[rng.below(i)]);
+    idx.resize(kK + rng.below(kN - kK + 1));
+    std::vector<std::uint32_t> xs;
+    for (std::size_t i : idx) xs.push_back(dealt[0][i].x);
+    std::vector<Fn> weights = lagrange_at_zero(xs);
+    ASSERT_EQ(weights.size(), xs.size());
+    for (std::size_t s = 0; s < secrets.size(); ++s) {
+      std::vector<Share> subset;
+      Fn dot = Fn::zero();
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        subset.push_back(dealt[s][idx[i]]);
+        dot = dot + weights[i] * dealt[s][idx[i]].y;
+      }
+      EXPECT_EQ(dot, secrets[s]);
+      EXPECT_EQ(dot, shamir_reconstruct(subset, subset.size()));
+    }
+  }
+  const std::uint32_t repeated[] = {1, 2, 1};
+  EXPECT_THROW(lagrange_at_zero(repeated), CryptoError);
+}
+
 // Property sweep: every k-subset of shares reconstructs; below-threshold
 // subsets give a different (wrong) value.
 class ShamirSubsets : public ::testing::TestWithParam<std::pair<int, int>> {};
@@ -187,6 +223,95 @@ TEST(PedersenVss, BatchVerifyMatchesPerInstance) {
   auto empty_comms = insts;
   empty_comms[0].comms.clear();
   EXPECT_FALSE(pedersen_vss_verify_batch(empty_comms));
+}
+
+// The BB's check of trustee datasets: slots whose commitment is u + c*v
+// (ZK responses) or u alone (openings), datasets of one trustee each.
+TEST(PedersenVss, FoldedCheckMatchesPerShareVerifier) {
+  Rng rng(53);
+  const Fn c = random_scalar(rng);
+  constexpr std::size_t kTrustees = 3;
+  std::vector<std::vector<Point>> us, vs;
+  std::vector<std::vector<PedersenShare>> shares(kTrustees);
+  std::vector<std::vector<Point>> comms;  // u + c*v, for the reference
+  for (std::size_t q = 0; q < 6; ++q) {
+    PedersenDeal du = pedersen_vss_deal(random_scalar(rng), 2, kTrustees, rng);
+    PedersenDeal dv = pedersen_vss_deal(random_scalar(rng), 2, kTrustees, rng);
+    const bool with_v = q % 2 == 0;
+    us.push_back(du.coefficient_comms);
+    vs.push_back(with_v ? dv.coefficient_comms : std::vector<Point>{});
+    std::vector<Point> cq = du.coefficient_comms;
+    if (with_v) {
+      for (std::size_t t = 0; t < cq.size(); ++t) {
+        cq[t] = ec_add(cq[t], ec_mul(c, dv.coefficient_comms[t]));
+      }
+    }
+    comms.push_back(cq);
+    for (std::size_t i = 0; i < kTrustees; ++i) {
+      PedersenShare s = du.shares[i];
+      if (with_v) {
+        s.f = s.f + c * dv.shares[i].f;
+        s.g = s.g + c * dv.shares[i].g;
+      }
+      shares[i].push_back(s);
+    }
+  }
+  std::vector<VssSlot> slots;
+  for (std::size_t q = 0; q < us.size(); ++q) slots.push_back({us[q], vs[q]});
+  const Bytes context = to_bytes("ctx");
+  auto datasets = [&](const std::vector<std::vector<PedersenShare>>& sh) {
+    std::vector<VssDataset> ds;
+    for (std::size_t i = 0; i < sh.size(); ++i) {
+      ds.push_back({static_cast<std::uint32_t>(i + 1), sh[i]});
+    }
+    return ds;
+  };
+  auto folded = [&](std::span<const VssDataset> ds) {
+    return pedersen_vss_verify_folded(context, c, slots, ds);
+  };
+  // Per-share reference: every share of the dataset verifies alone.
+  auto reference = [&](const std::vector<PedersenShare>& sh) {
+    for (std::size_t q = 0; q < sh.size(); ++q) {
+      if (!pedersen_vss_verify(sh[q], comms[q])) return false;
+    }
+    return true;
+  };
+
+  auto ds = datasets(shares);
+  EXPECT_TRUE(folded(ds));
+  EXPECT_TRUE(folded({}));
+  for (const auto& d : ds) EXPECT_TRUE(folded({&d, 1}));
+  // The challenge is part of every u + c*v slot.
+  EXPECT_FALSE(pedersen_vss_verify_folded(context, c + Fn::one(), slots, ds));
+
+  // One bad share of one dataset, on a u + c*v slot (f) and on a u-only
+  // slot (g): the fold fails, and checking each dataset alone blames
+  // exactly the one the per-share verifier blames.
+  for (auto [q, on_g] : {std::pair<std::size_t, bool>{2, false}, {3, true}}) {
+    auto bad = shares;
+    Fn& x = on_g ? bad[1][q].g : bad[1][q].f;
+    x = x + Fn::one();
+    auto bds = datasets(bad);
+    EXPECT_FALSE(folded(bds));
+    for (std::size_t i = 0; i < kTrustees; ++i) {
+      EXPECT_EQ(folded({&bds[i], 1}), reference(bad[i])) << i;
+      EXPECT_EQ(folded({&bds[i], 1}), i != 1) << i;
+    }
+  }
+
+  // Shape errors fail, as the per-share verifier would.
+  auto wrong_x = shares;
+  wrong_x[0][4].x = 2;
+  EXPECT_FALSE(folded(datasets(wrong_x)));
+  auto short_set = shares;
+  short_set[2].pop_back();
+  EXPECT_FALSE(folded(datasets(short_set)));
+  auto bad_slots = slots;
+  bad_slots[0].v = bad_slots[0].v.first(1);
+  EXPECT_FALSE(pedersen_vss_verify_folded(context, c, bad_slots, ds));
+  bad_slots = slots;
+  bad_slots[1].u = {};
+  EXPECT_FALSE(pedersen_vss_verify_folded(context, c, bad_slots, ds));
 }
 
 TEST(PedersenVss, HomomorphicAddition) {

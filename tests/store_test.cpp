@@ -50,11 +50,14 @@ TEST(MemorySource, FindAndIndex) {
   for (std::size_t i = 0; i < serials.size(); ++i) {
     EXPECT_EQ(src.serial_at(i), serials[i]);
     EXPECT_EQ(src.index_of(serials[i]), i);
-    auto found = src.find(serials[i]);
-    ASSERT_TRUE(found.has_value());
+    VcBallotInit buf;
+    const VcBallotInit* found = src.find(serials[i], buf);
+    ASSERT_NE(found, nullptr);
+    EXPECT_NE(found, &buf);  // handed out in place, not copied
     EXPECT_EQ(found->serial, serials[i]);
   }
-  EXPECT_FALSE(src.find(0xdeadbeef).has_value());  // not a real serial
+  VcBallotInit buf;
+  EXPECT_EQ(src.find(0xdeadbeef, buf), nullptr);  // not a real serial
 }
 
 TEST(MemorySource, RejectsUnsorted) {
@@ -80,8 +83,9 @@ TEST_F(DiskSourceTest, RoundTripsAllRecords) {
   DiskBallotSource src(path_, 16);
   EXPECT_EQ(src.size(), 200u);
   for (const auto& b : ballots) {
-    auto found = src.find(b.serial);
-    ASSERT_TRUE(found.has_value());
+    VcBallotInit buf;
+    const VcBallotInit* found = src.find(b.serial, buf);
+    ASSERT_EQ(found, &buf);  // decoded into the caller's buffer
     EXPECT_EQ(found->serial, b.serial);
     ASSERT_EQ(found->parts[0].size(), b.parts[0].size());
     EXPECT_EQ(found->parts[0][0].code_hash, b.parts[0][0].code_hash);
@@ -93,7 +97,8 @@ TEST_F(DiskSourceTest, MissingSerialReturnsNullopt) {
   auto ballots = make_ballots(20, 4);
   DiskBallotSource::build(path_, ballots);
   DiskBallotSource src(path_);
-  EXPECT_FALSE(src.find(1).has_value());
+  VcBallotInit buf;
+  EXPECT_EQ(src.find(1, buf), nullptr);
 }
 
 TEST_F(DiskSourceTest, SerialAtMatchesSortedOrder) {
@@ -111,9 +116,10 @@ TEST_F(DiskSourceTest, CacheHitsGrowOnRepeatedLookups) {
   auto ballots = make_ballots(500, 6);
   DiskBallotSource::build(path_, ballots);
   DiskBallotSource src(path_, 128);
+  VcBallotInit buf;
   for (int round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < 500; i += 7) {
-      (void)src.find(ballots[i].serial);
+      (void)src.find(ballots[i].serial, buf);
     }
   }
   EXPECT_GT(src.cache_hits(), src.page_reads());
@@ -124,10 +130,11 @@ TEST_F(DiskSourceTest, TinyCacheStillCorrect) {
   DiskBallotSource::build(path_, ballots);
   DiskBallotSource src(path_, 4);  // pathologically small cache
   crypto::Rng rng(8);
+  VcBallotInit buf;
   for (int i = 0; i < 500; ++i) {
     std::size_t idx = rng.below(300);
-    auto found = src.find(ballots[idx].serial);
-    ASSERT_TRUE(found.has_value());
+    const VcBallotInit* found = src.find(ballots[idx].serial, buf);
+    ASSERT_NE(found, nullptr);
     EXPECT_EQ(found->serial, ballots[idx].serial);
   }
 }
@@ -141,9 +148,10 @@ TEST_F(DiskSourceTest, StreamingBuilderMatchesBatchBuild) {
   builder.finish();
   DiskBallotSource a(path_), b(path2);
   ASSERT_EQ(a.size(), b.size());
+  VcBallotInit buf_a, buf_b;
   for (const auto& ballot : ballots) {
-    EXPECT_EQ(a.find(ballot.serial)->parts[0][0].code_hash,
-              b.find(ballot.serial)->parts[0][0].code_hash);
+    EXPECT_EQ(a.find(ballot.serial, buf_a)->parts[0][0].code_hash,
+              b.find(ballot.serial, buf_b)->parts[0][0].code_hash);
   }
 }
 
@@ -169,9 +177,10 @@ TEST_F(DiskSourceTest, ConcurrentReadersOverStripedHandles) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       crypto::Rng rng(static_cast<std::uint64_t>(100 + t));
+      VcBallotInit buf;
       for (int i = 0; i < kLookups; ++i) {
         std::size_t idx = rng.below(400);
-        auto found = src.find(ballots[idx].serial);
+        const VcBallotInit* found = src.find(ballots[idx].serial, buf);
         if (!found || found->serial != ballots[idx].serial ||
             found->parts[0][0].code_hash != ballots[idx].parts[0][0].code_hash) {
           ++failures;
@@ -181,7 +190,7 @@ TEST_F(DiskSourceTest, ConcurrentReadersOverStripedHandles) {
             src.serial_at(idx) != ballots[idx].serial) {
           ++failures;
         }
-        if (src.find(ballots[idx].serial ^ 0x5a5a5a5aull)) ++failures;
+        if (src.find(ballots[idx].serial ^ 0x5a5a5a5aull, buf)) ++failures;
       }
     });
   }
@@ -196,8 +205,9 @@ TEST_F(DiskSourceTest, SingleHandleStillCorrect) {
   auto ballots = make_ballots(50, 13);
   DiskBallotSource::build(path_, ballots);
   DiskBallotSource src(path_, 16, 1);
+  VcBallotInit buf;
   for (const auto& b : ballots) {
-    ASSERT_TRUE(src.find(b.serial).has_value());
+    ASSERT_NE(src.find(b.serial, buf), nullptr);
   }
 }
 
