@@ -5,7 +5,6 @@
 
 #include "core/messages.hpp"
 #include "core/tcp_launcher.hpp"
-#include "crypto/schnorr.hpp"
 #include "net/thread_net.hpp"
 #include "util/error.hpp"
 #include "util/proc_stats.hpp"
@@ -14,33 +13,6 @@ namespace ddemos::bench {
 
 using namespace core;
 using sim::NodeId;
-
-CalibratedCosts calibrate_signature_costs() {
-  crypto::Rng rng(123);
-  crypto::KeyPair kp = crypto::schnorr_keygen(rng);
-  Bytes msg = to_bytes("calibration message for endorsement signatures");
-  // Warm up the Montgomery constants.
-  Bytes sig = crypto::schnorr_sign(kp.sk, msg);
-
-  auto time_us = [](auto&& fn, int iters) {
-    auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) fn();
-    auto end = std::chrono::steady_clock::now();
-    return std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-               .count() /
-           iters;
-  };
-  CalibratedCosts out;
-  out.sign_us = time_us([&] { sig = crypto::schnorr_sign(kp.sk, msg); }, 20);
-  out.verify_us = time_us(
-      [&] {
-        if (!crypto::schnorr_verify(kp.pk, msg, sig)) {
-          throw ProtocolError("calibration verify failed");
-        }
-      },
-      20);
-  return out;
-}
 
 std::size_t env_size(const char* name, std::size_t def) {
   const char* v = std::getenv(name);
@@ -165,15 +137,6 @@ VoteCollectionResult VoteCollectionCampaign::run_cell(
 
   vc::VcNode::Options opts;
   opts.n_shards = std::max<std::size_t>(n_shards, 1);
-  if (cfg.backend == Backend::kSim) {
-    // Modeled signature charges calibrated against this CPU; on the real
-    // transports charge() is a no-op, so those sweeps run real Schnorr.
-    CalibratedCosts costs = calibrate_signature_costs();
-    opts.model_signatures = true;
-    opts.sign_cost_us = costs.sign_us;
-    opts.verify_cost_us = costs.verify_us;
-  }
-  if (cfg.disk_store) opts.page_fault_cost_us = cfg.page_fault_cost_us;
 
   std::unique_ptr<sim::Simulation> sim;
   std::unique_ptr<net::ThreadNet> net;
@@ -199,7 +162,6 @@ VoteCollectionResult VoteCollectionCampaign::run_cell(
   } else {
     sim = std::make_unique<sim::Simulation>(cfg.seed);
     sim->set_default_link(cfg.link);
-    sim->set_measure_cpu(true);
     host = sim.get();
   }
   // The VC cluster, through the builder every backend uses. On TCP it

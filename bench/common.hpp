@@ -1,6 +1,7 @@
-// Shared benchmark harness: calibrated cost model, closed-loop voting load
-// generator, and the vote-collection cluster builder used by the Figure 4
-// and Figure 5 reproductions (see EXPERIMENTS.md for the mapping).
+// Shared benchmark harness: the vote-collection campaign (EA setup into
+// memory or disk stores, a closed-loop voting load, the VC cluster on a
+// chosen backend) used by the Figure 4, 5 and 6 reproductions (see
+// EXPERIMENTS.md for the mapping).
 #pragma once
 
 #include <cstdlib>
@@ -20,17 +21,9 @@
 
 namespace ddemos::bench {
 
-// Measured Schnorr costs on this machine, used as the modeled signature
-// charges in the simulator (see EXPERIMENTS.md, "Microbenchmarks").
-struct CalibratedCosts {
-  sim::Duration sign_us = 0;
-  sim::Duration verify_us = 0;
-};
-CalibratedCosts calibrate_signature_costs();
-
 // Which runtime hosts a vote-collection cell:
-//  * kSim — hybrid simulator: real protocol code and hashing, modeled
-//    network and signature costs, deterministic virtual time;
+//  * kSim — simulator: real protocol code and cryptography, modeled
+//    network, CPU time from sim/cost_table.hpp, deterministic virtual time;
 //  * kThreads — net::ThreadNet: real threads and real Schnorr crypto in
 //    one process, wall-clock throughput;
 //  * kTcp — core::TcpLauncher over net::TcpNet: one OS process per VC
@@ -51,15 +44,9 @@ struct VoteCollectionConfig {
   bool disk_store = false;
   std::string disk_dir;          // required when disk_store
   std::size_t cache_pages = 64;  // per VC node
-  // Modeled storage latency per page-cache miss (SSD-class random read
-  // through a database stack).
-  sim::Duration page_fault_cost_us = 150;
   // Intra-node VC shards (the fig5a scaling sweep): one virtual processor
   // per shard on the simulator, one worker thread per shard on ThreadNet.
   std::size_t n_shards = 1;
-  // Hosting runtime. The non-simulator backends imply real Schnorr crypto
-  // in the hot path (modeled charges are meaningless where charge() is a
-  // no-op) so there is genuine CPU work for the shards to parallelize.
   Backend backend = Backend::kSim;
   // Write-ahead logging on every VC node (the fig4 durability sweep).
   // Single-process backends attach <wal_dir>/vc<i>.wal directly — any
@@ -138,7 +125,7 @@ class VoteCollectionCampaign {
 };
 
 // Runs the vote-collection phase only (as the paper's Figure 4/5a/5b
-// experiments do) on the configured backend: the hybrid simulator, the
+// experiments do) on the configured backend: the simulator, the
 // in-process multi-threaded transport, or the multi-process TCP cluster.
 VoteCollectionResult run_vote_collection(const VoteCollectionConfig& cfg);
 

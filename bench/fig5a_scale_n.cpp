@@ -8,8 +8,8 @@
 // The follow-up journal version scales each VC node across cores; the
 // second and third sweeps here reproduce that axis with intra-node
 // sharding (vc shards ∈ {1,2,4,8}) on both backends:
-//   * simulator — one virtual processor per shard, calibrated signature
-//     costs, deterministic scaling curve;
+//   * simulator — one virtual processor per shard, CPU time from the
+//     cost table (sim/cost_table.hpp), deterministic scaling curve;
 //   * ThreadNet — one worker thread per shard, real Schnorr crypto, real
 //     wall-clock throughput (bounded by the host's core count).
 // Every BENCH_JSON line carries a "shards" field for the perf-trajectory
@@ -101,7 +101,7 @@ int main() {
   };
 
   std::printf("\n# fig5a-shards: throughput vs vc shards, simulator "
-              "(one virtual processor per shard, calibrated sig costs)\n");
+              "(one virtual processor per shard, cost-table CPU time)\n");
   shard_sweep("sim-shards", Backend::kSim, 400, 177);
 
   std::printf("\n# fig5a-shards: throughput vs vc shards, ThreadNet "

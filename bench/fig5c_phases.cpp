@@ -1,7 +1,9 @@
 // Reproduces Figure 5c: duration of each system phase versus the number of
 // ballots cast — Vote Collection, Vote Set Consensus, Push to BB and
 // encrypted tally, Publish result. Runs the full system (real cryptography
-// everywhere) over the hybrid simulator; the cast counts are scaled down
+// everywhere) over the simulator, whose CPU time comes from
+// sim/cost_table.hpp (VC signatures and decode, the BB's trustee-share
+// check and reconstruction); the cast counts are scaled down
 // from the paper's 50k..200k (see EXPERIMENTS.md). Scale with
 // DDEMOS_FIG5C_STEP. Phase durations come straight out of the driver's
 // ElectionReport — no node-internal scraping.
@@ -47,7 +49,6 @@ int main() {
     cfg.workload = RoundRobinWorkload::make([](std::size_t v) {
       return static_cast<sim::TimePoint>(v) * 100;
     });
-    cfg.measure_cpu = true;
     // Sharper phase boundaries for the per-phase accounting rows.
     cfg.probe_interval = 64;
     ElectionDriver driver(cfg);

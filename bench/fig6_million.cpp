@@ -2,7 +2,7 @@
 // run". Streams DDEMOS_FIG6_BALLOTS (default 10^6) ballots from the EA
 // straight into per-VC DiskBallotSource files (never materializing the
 // plaintext ballot set in memory), then drives a closed-loop campaign that
-// casts every ballot through the 4-VC cluster on the hybrid simulator,
+// casts every ballot through the 4-VC cluster on the simulator,
 // sweeping intra-node VC shards over DDEMOS_FIG6_SHARDS (default 1,4,8).
 // The ballot files and captured vote targets are generated once and shared
 // across the shard cells.

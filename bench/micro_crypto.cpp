@@ -1,6 +1,5 @@
 // Microbenchmarks of every cryptographic primitive (google-benchmark).
-// These calibrate the modeled signature costs used by the figure benches
-// and serve as the ablation data for the receipt-path cost breakdown in
+// They serve as the ablation data for the receipt-path cost breakdown in
 // EXPERIMENTS.md ("Microbenchmarks"). Each result is also emitted as a
 // machine-readable BENCH_JSON line for the CI bench-smoke artifact, so the
 // crypto speedups are tracked across PRs alongside the figure benches.
@@ -110,8 +109,8 @@ void BM_EcMsm(benchmark::State& state) {
 BENCHMARK(BM_EcMsm)->Arg(2)->Arg(8)->Arg(32);
 
 // The two MSM engines head to head across the crossover region. ec_msm
-// auto-selects between them at ec_msm_crossover() terms; the sweep is the
-// data behind the default (EXPERIMENTS.md "Parallel audit").
+// auto-selects between them at kMsmCrossover terms; the sweep is the data
+// behind that constant (EXPERIMENTS.md "Parallel audit").
 void BM_EcMsmStrauss(benchmark::State& state) {
   Rng rng(44);
   std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -417,13 +416,12 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ddemos::crypto::BenchJsonReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  // The auto-select boundary in effect for this run (crossover_n is part of
-  // the row key, so a retuned default shows up as a new row, not a gate
-  // failure).
+  // The auto-select boundary (crossover_n is part of the row key, so a
+  // retuned constant shows up as a new row, not a gate failure).
   std::printf(
       "BENCH_JSON {\"bench\":\"micro_crypto\",\"name\":\"msm_crossover\","
       "\"crossover_n\":%zu}\n",
-      ddemos::crypto::ec_msm_crossover());
+      ddemos::crypto::kMsmCrossover);
   benchmark::Shutdown();
   return 0;
 }

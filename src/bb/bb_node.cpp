@@ -7,6 +7,7 @@
 #include "crypto/schnorr.hpp"
 #include "crypto/shamir.hpp"
 #include "ea/ea.hpp"
+#include "sim/cost_table.hpp"
 #include "util/error.hpp"
 
 namespace ddemos::bb {
@@ -340,6 +341,7 @@ void BbNode::handle_trustee_ballot(Reader& r) {
   if (!serial_index_.count(m.serial)) return;
   TrusteeBallots& tb = trustee_ballots_[m.serial];
   if (tb.combined) return;  // everything it could open is published
+  charge(sim::cost::kSchnorrVerify);
   if (!crypto::schnorr_verify(trustee_keys_[m.trustee_index],
                               m.signing_bytes(init_.params.election_id),
                               m.signature)) {
@@ -389,7 +391,13 @@ void BbNode::maybe_combine_ballot(Serial serial) {
     w.bytes(init_.params.election_id);
     w.u64(serial);
     const Bytes context = w.take();
+    // The fold's MSM has one term per slot point plus G and H.
+    sim::Duration terms = 2;
+    for (const crypto::VssSlot& slot : *slots) {
+      terms += static_cast<sim::Duration>(slot.u.size() + slot.v.size());
+    }
     auto check = [&](std::span<const crypto::VssDataset> ds) {
+      charge(terms * sim::cost::kBbFoldTerm);
       return crypto::pedersen_vss_verify_folded(context, challenge_, *slots,
                                                 ds);
     };
@@ -456,6 +464,7 @@ void BbNode::maybe_combine_ballot(Serial serial) {
 void BbNode::handle_trustee_tally(Reader& r) {
   TrusteeTallyMsg m = TrusteeTallyMsg::decode(r);
   if (m.trustee_index >= init_.params.n_trustees) return;
+  charge(sim::cost::kSchnorrVerify);
   if (!crypto::schnorr_verify(trustee_keys_[m.trustee_index],
                               m.signing_bytes(init_.params.election_id),
                               m.signature)) {

@@ -8,7 +8,9 @@
 //  * trustee writes are signature-checked and every Pedersen share is
 //    verified against the published coefficient commitments before use;
 //    with ht verified trustee contributions the node opens unused parts,
-//    completes the ZK proofs and publishes the final tally.
+//    completes the ZK proofs and publishes the final tally. The trustee
+//    signature checks and the folded share check charge their simulated
+//    CPU time from sim/cost_table.hpp.
 #pragma once
 
 #include <atomic>
@@ -119,6 +121,11 @@ class BbNode final : public sim::Process {
   // phase timestamps from replayed history are stamped 0, and on_start
   // they read as "published before this incarnation began".
   sim::TimePoint now_safe() const { return replaying_ ? 0 : ctx().now(); }
+  // Charges the simulator cost table's price of a check; replayed history
+  // was paid for by the incarnation that first ran it.
+  void charge(sim::Duration cpu) {
+    if (!replaying_) ctx().charge(cpu);
+  }
 
   core::BbInit init_;
   std::vector<crypto::SchnorrKey> trustee_keys_;  // decoded once

@@ -378,7 +378,6 @@ void ElectionDriver::init() {
     // Backend knobs configure the driver-owned simulator only; an external
     // backend belongs to the caller (its link model etc. stay untouched).
     sim_->set_default_link(cfg_.link);
-    if (cfg_.measure_cpu) sim_->set_measure_cpu(true);
   }
   if (!sim_ && (!cfg_.crashed_vcs.empty() || !cfg_.crashed_bbs.empty() ||
                 !cfg_.crashed_trustees.empty())) {

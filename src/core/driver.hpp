@@ -82,10 +82,9 @@ struct DriverConfig {
   // (add_observer after construction only catches phase/completion hooks).
   std::vector<ElectionObserver*> observers;
 
-  // Backend knobs. link/measure_cpu configure the driver-owned simulator;
-  // an externally hosted backend keeps whatever the caller set on it.
+  // Backend knobs. link configures the driver-owned simulator; an
+  // externally hosted backend keeps whatever the caller set on it.
   sim::LinkModel link = sim::LinkModel::lan();
-  bool measure_cpu = false;
   std::size_t max_events = 50'000'000;  // simulator event budget per run()
   sim::Duration wall_timeout_us = 60'000'000;  // ThreadNet completion cap
   // Events between phase probes on the simulator: smaller = sharper phase

@@ -177,10 +177,6 @@ void TcpClusterSpec::encode(Writer& w) const {
   w.u64(seed);
   w.boolean(vc_only);
   w.boolean(collection_only);
-  w.boolean(vc_options.model_signatures);
-  w.u64(static_cast<std::uint64_t>(vc_options.sign_cost_us));
-  w.u64(static_cast<std::uint64_t>(vc_options.verify_cost_us));
-  w.u64(static_cast<std::uint64_t>(vc_options.page_fault_cost_us));
   w.varint(vc_options.n_shards);
   w.u64(static_cast<std::uint64_t>(trustee_options.poll_interval_us));
   w.str(durability.wal_dir);
@@ -194,10 +190,6 @@ TcpClusterSpec TcpClusterSpec::decode(Reader& r) {
   s.seed = r.u64();
   s.vc_only = r.boolean();
   s.collection_only = r.boolean();
-  s.vc_options.model_signatures = r.boolean();
-  s.vc_options.sign_cost_us = static_cast<sim::Duration>(r.u64());
-  s.vc_options.verify_cost_us = static_cast<sim::Duration>(r.u64());
-  s.vc_options.page_fault_cost_us = static_cast<sim::Duration>(r.u64());
   s.vc_options.n_shards = static_cast<std::size_t>(r.varint());
   s.trustee_options.poll_interval_us = static_cast<sim::Duration>(r.u64());
   s.durability.wal_dir = r.str();

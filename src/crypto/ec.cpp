@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdlib>
 
 #include "crypto/rng.hpp"
@@ -763,42 +762,8 @@ Point ec_msm_pippenger(std::span<const Fn> ks, std::span<const Point> ps) {
   return acc;
 }
 
-namespace {
-
-// Calibrated on the micro_crypto Strauss-vs-Pippenger sweep (see
-// bench/micro_crypto.cpp and EXPERIMENTS.md); DDEMOS_MSM_CROSSOVER
-// overrides at startup, ec_msm_set_crossover overrides for tests.
-constexpr std::size_t kDefaultMsmCrossover = 64;
-
-std::size_t msm_crossover_default() {
-  if (const char* env = std::getenv("DDEMOS_MSM_CROSSOVER")) {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      return static_cast<std::size_t>(v);
-    }
-  }
-  return kDefaultMsmCrossover;
-}
-
-std::atomic<std::size_t>& msm_crossover_state() {
-  static std::atomic<std::size_t> v{msm_crossover_default()};
-  return v;
-}
-
-}  // namespace
-
-std::size_t ec_msm_crossover() {
-  return msm_crossover_state().load(std::memory_order_relaxed);
-}
-
-std::size_t ec_msm_set_crossover(std::size_t n) {
-  if (n == 0) n = msm_crossover_default();
-  return msm_crossover_state().exchange(n, std::memory_order_relaxed);
-}
-
 Point ec_msm(std::span<const Fn> ks, std::span<const Point> ps) {
-  if (ks.size() >= ec_msm_crossover()) return ec_msm_pippenger(ks, ps);
+  if (ks.size() >= kMsmCrossover) return ec_msm_pippenger(ks, ps);
   return ec_msm_strauss(ks, ps);
 }
 

@@ -52,7 +52,7 @@ Point ec_mul_naive(const Fn& k, const Point& p);
 Point ec_mul2(const Fn& a, const Point& p, const Fn& b);
 // General multi-scalar product sum_i ks[i]*ps[i]. Auto-selecting front
 // door: small products run the Strauss engine, large ones cross over to
-// the Pippenger bucket method at ec_msm_crossover() terms. Zero scalars
+// the Pippenger bucket method at kMsmCrossover terms. Zero scalars
 // and infinity points are skipped by both engines.
 Point ec_msm(std::span<const Fn> ks, std::span<const Point> ps);
 // The Strauss/wNAF engine directly (the pre-crossover path).
@@ -62,12 +62,10 @@ Point ec_msm_strauss(std::span<const Fn> ks, std::span<const Point> ps);
 // simultaneous inversion and collapsed by running sums. Wins past a few
 // dozen terms where Strauss' per-point tables stop amortizing.
 Point ec_msm_pippenger(std::span<const Fn> ks, std::span<const Point> ps);
-// Crossover control (thread-safe): point count at or above which ec_msm
-// picks Pippenger. Default comes from the micro_crypto calibration sweep;
-// DDEMOS_MSM_CROSSOVER overrides it at startup, set() overrides for tests
-// (returns the previous value; 0 restores the default).
-std::size_t ec_msm_crossover();
-std::size_t ec_msm_set_crossover(std::size_t n);
+// Point count at or above which ec_msm picks Pippenger, measured by the
+// micro_crypto Strauss-vs-Pippenger sweep (EXPERIMENTS.md "MSM engine
+// crossover").
+inline constexpr std::size_t kMsmCrossover = 64;
 
 bool ec_eq(const Point& p, const Point& q);
 

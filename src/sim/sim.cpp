@@ -1,7 +1,6 @@
 #include "sim/sim.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "util/error.hpp"
 
@@ -159,22 +158,13 @@ void Simulation::dispatch(const Event& ev) {
   }
   TimePoint begin = std::max(ev.at, n.shard_busy[shard]);
   n.ctx->begin_handler(begin);
-  std::chrono::steady_clock::time_point wall_start;
-  if (measure_cpu_) wall_start = std::chrono::steady_clock::now();
   if (ev.from == kNoNode) {
     n.proc->on_timer(ev.token);
   } else {
     ++delivered_;
     n.proc->on_message(ev.from, ev.payload);
   }
-  Duration measured = 0;
-  if (measure_cpu_) {
-    measured = std::chrono::duration_cast<std::chrono::microseconds>(
-                   std::chrono::steady_clock::now() - wall_start)
-                   .count();
-  }
-  n.shard_busy[shard] =
-      std::max(n.shard_busy[shard], n.ctx->handler_end() + measured);
+  n.shard_busy[shard] = std::max(n.shard_busy[shard], n.ctx->handler_end());
 }
 
 bool Simulation::step() {

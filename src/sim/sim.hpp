@@ -1,9 +1,10 @@
 // Deterministic discrete-event simulator. Replaces the paper's 12-machine
 // cluster: virtual clocks per node, configurable link latency/drop/dup/
-// reorder, per-node CPU service-time accounting (a node is one virtual
-// processor per shard — plain Processes have one, a ShardedProcess gets
-// shard_count() of them, so sharded VC nodes overlap handler costs across
-// shards), and adversary hooks for bounded message delay and node crashes.
+// reorder, per-node CPU service-time accounting from the costs handlers
+// charge (sim/cost_table.hpp; a node is one virtual processor per shard —
+// plain Processes have one, a ShardedProcess gets shard_count() of them,
+// so sharded VC nodes overlap handler costs across shards), and adversary
+// hooks for bounded message delay and node crashes.
 // Fully deterministic given a seed.
 //
 // Events carry net::Buffer payload handles, so enqueueing, duplication and
@@ -63,12 +64,6 @@ class Simulation final : public RuntimeHost {
   // Crashed nodes stop receiving messages and timers.
   void crash(NodeId id);
   bool crashed(NodeId id) const;
-
-  // Hybrid benchmark mode: measure each handler's real CPU time with a
-  // monotonic clock and add it to the node's virtual busy time, on top of
-  // any modeled Context::charge() costs. Virtual durations then reflect
-  // real per-message processing costs while the network stays modeled.
-  void set_measure_cpu(bool enabled) { measure_cpu_ = enabled; }
 
   // Calls on_start on all nodes not yet started.
   void start() override;
@@ -140,7 +135,6 @@ class Simulation final : public RuntimeHost {
   LinkFilter filter_;
   CalendarQueue<Event> queue_;
   TimePoint now_ = 0;
-  bool measure_cpu_ = false;
   std::uint64_t seq_ = 0;
   std::uint64_t timer_tokens_ = 0;
   std::uint64_t delivered_ = 0;

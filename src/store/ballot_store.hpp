@@ -36,9 +36,10 @@ class BallotDataSource {
   // instance numbering used by the batched vote-set consensus).
   virtual core::Serial serial_at(std::size_t idx) = 0;
   virtual std::optional<std::size_t> index_of(core::Serial serial) = 0;
-  // Cumulative count of cache-missing page reads. The benchmarks charge a
-  // modeled storage latency per fault (the host OS page cache would
-  // otherwise hide the I/O cost a production-size table incurs).
+  // Cumulative count of cache-missing page reads. A VC charges the
+  // simulator cost table's storage latency per fault (the host OS page
+  // cache would otherwise hide the I/O cost a production-size table
+  // incurs).
   virtual std::uint64_t page_faults() const { return 0; }
 };
 

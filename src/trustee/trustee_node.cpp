@@ -1,6 +1,7 @@
 #include "trustee/trustee_node.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "crypto/schnorr.hpp"
 #include "util/error.hpp"
@@ -15,7 +16,8 @@ TrusteeNode::TrusteeNode(TrusteeInit init, std::vector<NodeId> bb_ids,
     : init_(std::move(init)),
       signing_key_(crypto::schnorr_keypair(init_.signing_key)),
       bb_ids_(std::move(bb_ids)),
-      opt_(options) {}
+      opt_(options),
+      answers_(bb_ids_.size()) {}
 
 void TrusteeNode::on_start() {
   poll_timer_ = ctx().set_timer(opt_.poll_interval_us);
@@ -28,26 +30,36 @@ void TrusteeNode::on_timer(std::uint64_t token) {
 }
 
 void TrusteeNode::poll_bbs() {
-  current_request_ = ++request_seq_;
-  reply_counts_.clear();
   BbReadMsg m;
   m.section = "cast-info";
-  m.request_id = current_request_;
+  m.request_id = ++request_seq_;
   net::Buffer msg = m.encode();  // one allocation for all BB recipients
   for (NodeId bb : bb_ids_) ctx().send(bb, msg);
 }
 
-void TrusteeNode::on_message(NodeId, const net::Buffer& payload) {
+void TrusteeNode::on_message(NodeId from, const net::Buffer& payload) {
   if (submitted_) return;
+  auto bb = std::find(bb_ids_.begin(), bb_ids_.end(), from);
+  if (bb == bb_ids_.end()) return;
   try {
     Reader r(payload.view());
     if (static_cast<MsgType>(r.u8()) != MsgType::kBbReadReply) return;
     BbReadReplyMsg m = BbReadReplyMsg::decode(r);
-    if (m.request_id != current_request_ || !m.available) return;
-    // Majority read: trust a payload repeated by fb+1 BB nodes.
-    std::size_t count = ++reply_counts_[m.payload];
-    if (count >= init_.params.f_bb + 1) {
-      submit_all(m.payload);
+    // A reply to any poll of ours counts: a BB never changes its published
+    // cast-info, so an answer that took longer than the poll interval is
+    // as good as a fresh one.
+    if (m.request_id == 0 || m.request_id > request_seq_ || !m.available) {
+      return;
+    }
+    // Majority read: trust a payload that fb+1 distinct BB nodes returned
+    // as their latest answer.
+    std::optional<Bytes>& answer =
+        answers_[static_cast<std::size_t>(bb - bb_ids_.begin())];
+    answer = std::move(m.payload);
+    std::size_t backers = static_cast<std::size_t>(
+        std::count(answers_.begin(), answers_.end(), answer));
+    if (backers >= init_.params.f_bb + 1) {
+      submit_all(*answer);
       submitted_ = true;
     }
   } catch (const CodecError&) {

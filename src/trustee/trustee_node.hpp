@@ -8,8 +8,8 @@
 // allowed number of commitments marked voted) are discarded.
 #pragma once
 
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "core/messages.hpp"
 #include "sim/runtime.hpp"
@@ -35,7 +35,6 @@ class TrusteeNode final : public sim::Process {
 
  private:
   void poll_bbs();
-  void maybe_act();
   void submit_all(BytesView cast_info_payload);
 
   core::TrusteeInit init_;
@@ -43,10 +42,10 @@ class TrusteeNode final : public sim::Process {
   std::vector<sim::NodeId> bb_ids_;
   Options opt_;
   std::uint64_t poll_timer_ = 0;
-  std::uint64_t request_seq_ = 0;
-  // Majority read state: per request id, payload -> count.
-  std::map<Bytes, std::size_t> reply_counts_;
-  std::uint64_t current_request_ = 0;
+  std::uint64_t request_seq_ = 0;  // id of the latest poll
+  // Majority read state: each BB's latest cast-info answer, by index in
+  // bb_ids_, kept across polls.
+  std::vector<std::optional<Bytes>> answers_;
   bool submitted_ = false;
 };
 

@@ -6,6 +6,7 @@
 #include "crypto/commit.hpp"
 #include "crypto/schnorr.hpp"
 #include "ea/ea.hpp"
+#include "sim/cost_table.hpp"
 #include "util/error.hpp"
 
 namespace ddemos::vc {
@@ -323,31 +324,23 @@ bool VcNode::verify_receipt_share(const VcBallotInit& ballot,
 bool VcNode::verify_ucert(Serial serial, const Ucert& ucert) {
   VcShardStats& ss = stats_for(serial);
   ++ss.signature_batches;
-  if (opt_.model_signatures) {
-    ctx().charge(opt_.verify_cost_us *
-                 static_cast<sim::Duration>(init_.params.vc_quorum()));
-    // Structural check only in modeled mode.
-    std::set<std::uint32_t> distinct;
-    for (const auto& [idx, sig] : ucert.signatures) {
-      if (idx < init_.params.n_vc && !sig.empty()) distinct.insert(idx);
-    }
-    return distinct.size() >= init_.params.vc_quorum();
-  }
   std::size_t singles = 0;
   bool ok = ucert.valid(init_.params.election_id, serial, vc_keys_,
                         init_.params.vc_quorum(), &singles);
   ss.signature_checks += singles;
+  charge_signature_checks(init_.params.vc_quorum(), singles);
   return ok;
 }
 
+void VcNode::charge_signature_checks(std::size_t batched,
+                                     std::size_t singles) {
+  ctx().charge(sim::cost::kSchnorrBatchPerSig *
+                   static_cast<sim::Duration>(batched) +
+               sim::cost::kSchnorrVerify * static_cast<sim::Duration>(singles));
+}
+
 Bytes VcNode::sign_endorsement(Serial serial, BytesView code) {
-  if (opt_.model_signatures) {
-    ctx().charge(opt_.sign_cost_us);
-    // A recognizable structural placeholder (never verified in this mode).
-    Bytes fake(65, 0xee);
-    fake[0] = static_cast<std::uint8_t>(init_.node_index);
-    return fake;
-  }
+  ctx().charge(sim::cost::kSchnorrSign);
   return crypto::schnorr_sign(
       signing_key_, endorsement_digest(init_.params.election_id, serial, code));
 }
@@ -355,15 +348,13 @@ Bytes VcNode::sign_endorsement(Serial serial, BytesView code) {
 const VcBallotInit* VcNode::find_ballot(Serial serial, VcBallotInit& buf) {
   std::uint64_t before = source_->page_faults();
   const VcBallotInit* ballot = source_->find(serial, buf);
-  if (opt_.page_fault_cost_us > 0) {
-    std::uint64_t faults = source_->page_faults() - before;
-    ctx().charge(static_cast<sim::Duration>(faults) *
-                 opt_.page_fault_cost_us);
-  }
+  ctx().charge(static_cast<sim::Duration>(source_->page_faults() - before) *
+               sim::cost::kPageFault);
   return ballot;
 }
 
 void VcNode::on_message(NodeId from, const net::Buffer& payload) {
+  ctx().charge(sim::cost::kVcMessage);
   try {
     Reader r(payload.view());
     auto type = static_cast<MsgType>(r.u8());
@@ -559,10 +550,7 @@ bool VcNode::endorsement_quorum(Serial serial, EndorseState& es) {
   if (live < quorum) return false;
   VcShardStats& ss = stats_for(serial);
   ++ss.signature_batches;
-  Bytes digest = opt_.model_signatures
-                     ? Bytes{}
-                     : endorsement_digest(init_.params.election_id, serial,
-                                          es.code);
+  Bytes digest = endorsement_digest(init_.params.election_id, serial, es.code);
   std::vector<Endorsement*> pending;
   std::vector<crypto::SchnorrKeyedInstance> batch;
   for (auto& [idx, e] : es.sigs) {
@@ -570,23 +558,20 @@ bool VcNode::endorsement_quorum(Serial serial, EndorseState& es) {
     pending.push_back(&e);
     batch.push_back({&vc_keys_[idx], digest, e.sig});
   }
-  if (opt_.model_signatures) {
-    ctx().charge(opt_.verify_cost_us *
-                 static_cast<sim::Duration>(pending.size()));
-    for (Endorsement* e : pending) e->check = SigCheck::kGood;
-    return true;
-  }
   bool all_good = crypto::schnorr_verify_batch_keyed(batch);
   std::size_t good = live - pending.size();
+  std::size_t singles = 0;
   for (std::size_t i = 0; i < pending.size(); ++i) {
     bool ok = all_good;
     if (!ok) {
-      ++ss.signature_checks;
+      ++singles;
       ok = crypto::schnorr_verify(*batch[i].key, digest, batch[i].sig);
     }
     pending[i]->check = ok ? SigCheck::kGood : SigCheck::kBad;
     good += ok;
   }
+  ss.signature_checks += singles;
+  charge_signature_checks(pending.size(), singles);
   return good >= quorum;
 }
 

@@ -25,13 +25,16 @@
 // arrive from faster peers before the barrier are buffered and adopted at
 // the barrier; RECOVER requests that arrive before it are dropped (the
 // requester retries). One shard is the same sequence with a single slice.
+//
+// Every handler charges its simulated CPU time from sim/cost_table.hpp:
+// one decode per message, each Schnorr sign and check, each ballot-store
+// page fault. Signatures are always made and checked for real.
 #pragma once
 
 #include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "consensus/binary_consensus.hpp"
@@ -91,14 +94,6 @@ struct VcShardStats {
 };
 
 struct VcOptions {
-  // When true, Schnorr signing/verification in the hot path is replaced
-  // by modeled CPU charges (used by the calibrated benchmarks; all
-  // integration tests run with real crypto).
-  bool model_signatures = false;
-  sim::Duration sign_cost_us = 0;
-  sim::Duration verify_cost_us = 0;
-  // Modeled storage latency charged per ballot-store page fault (0 = off).
-  sim::Duration page_fault_cost_us = 0;
   // Intra-node worker shards over the serial range (see file comment).
   // Every count runs the same drain/barrier state machine and requires
   // contiguous serials (the EA default); a gapped ballot source is
@@ -254,12 +249,15 @@ class VcNode final : public sim::ShardedProcess {
                             const crypto::Share& share,
                             std::span<const crypto::Hash32> path);
   bool verify_ucert(core::Serial serial, const core::Ucert& ucert);
+  // Charges the cost table's price of `batched` signatures checked in one
+  // batch plus `singles` checked alone.
+  void charge_signature_checks(std::size_t batched, std::size_t singles);
   Bytes sign_endorsement(core::Serial serial, BytesView code);
   // Dense ballot index for a registered serial (nullopt if unknown); O(1)
   // because serials are contiguous (checked at construction).
   std::optional<std::size_t> instance_of(core::Serial serial) const;
   BallotState& state_at(std::size_t instance) { return states_[instance]; }
-  // Store lookup with modeled storage latency per page fault; see
+  // Store lookup charging the cost table's page-fault latency; see
   // store::BallotDataSource::find for who owns the result.
   const core::VcBallotInit* find_ballot(core::Serial serial,
                                         core::VcBallotInit& buf);

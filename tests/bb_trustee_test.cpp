@@ -339,6 +339,96 @@ TEST(Trustee, LoneByzantineTrusteeCannotCorruptTally) {
   EXPECT_TRUE(auditor.verify_election().passed);
 }
 
+TEST(Trustee, SlowBbRoundTripStillSubmits) {
+  // Every message to or from trustee 0 is held for 1 s, so each of its BB
+  // reads takes 2 s against a 200 ms poll interval. Replies to earlier
+  // polls still count, so the trustee submits and the run quiesces.
+  DriverConfig cfg;
+  cfg.params = small(6);
+  cfg.seed = 72;
+  cfg.workload = VoteListWorkload::make({0, 1, 1, kAbstain, 0, 1});
+  cfg.max_events = 2'000'000;
+  ElectionDriver runner(cfg);
+  sim::NodeId slow = runner.topology().trustee_ids[0];
+  runner.simulation().set_link_filter(
+      [slow](sim::NodeId from, sim::NodeId to, sim::TimePoint) {
+        return std::optional<sim::Duration>(
+            from == slow || to == slow ? 1'000'000 : 0);
+      });
+  ElectionReport report = runner.run();
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.tally, (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_TRUE(runner.trustee_node(0).submitted());
+}
+
+// A BB that answers every cast-info read with the same forged payload,
+// `repeats` times.
+class ForgingBb final : public sim::Process {
+ public:
+  ForgingBb(Bytes forged, std::size_t repeats)
+      : forged_(std::move(forged)), repeats_(repeats) {}
+  void on_message(sim::NodeId from, const net::Buffer& payload) override {
+    Reader r(payload.view());
+    if (static_cast<MsgType>(r.u8()) != MsgType::kBbRead) return;
+    BbReadMsg read = BbReadMsg::decode(r);
+    BbReadReplyMsg reply;
+    reply.section = read.section;
+    reply.request_id = read.request_id;
+    reply.available = true;
+    reply.payload = forged_;
+    net::Buffer msg = reply.encode();
+    for (std::size_t i = 0; i < repeats_; ++i) ctx().send(from, msg);
+  }
+
+ private:
+  Bytes forged_;
+  std::size_t repeats_;
+};
+
+class SilentNode final : public sim::Process {
+ public:
+  void on_message(sim::NodeId, const net::Buffer&) override {}
+};
+
+// Runs one trustee against three BB ids, the first `forgers` of which
+// answer with one forged cast-info (no cast votes) `repeats` times each;
+// the rest never answer. Returns whether the trustee submitted.
+bool trustee_submits_to_forgers(std::size_t forgers, std::size_t repeats) {
+  ElectionParams params = small(2);
+  ea::SetupArtifacts arts = ea::ea_setup({params, 73});
+  Writer w;
+  w.vec(std::vector<int>{}, [](Writer&, int) {});
+  w.bytes(Bytes{});
+  encode_scalar(w, crypto::Fn::one());
+  const Bytes forged = w.take();
+
+  sim::Simulation sim(74);
+  std::vector<sim::NodeId> bb_ids;
+  for (std::size_t i = 0; i < params.n_bb; ++i) {
+    std::unique_ptr<sim::Process> bb;
+    if (i < forgers) {
+      bb = std::make_unique<ForgingBb>(forged, repeats);
+    } else {
+      bb = std::make_unique<SilentNode>();
+    }
+    bb_ids.push_back(sim.add_node(std::move(bb), "bb" + std::to_string(i)));
+  }
+  sim::NodeId tid = sim.add_node(
+      std::make_unique<trustee::TrusteeNode>(arts.trustee_inits[0], bb_ids),
+      "trustee0");
+  sim.start();
+  sim.run_until(2'000'000);
+  return dynamic_cast<trustee::TrusteeNode&>(sim.process(tid)).submitted();
+}
+
+TEST(Trustee, OneBbRepeatingAForgedReadIsNotAMajority) {
+  // fb + 1 = 2 copies of one forged cast-info from a single BB, with the
+  // current request id, are one BB's answer, not a majority.
+  EXPECT_FALSE(trustee_submits_to_forgers(1, small(2).f_bb + 1));
+  // The same payload from two distinct BBs is a majority.
+  EXPECT_TRUE(trustee_submits_to_forgers(2, 1));
+}
+
 TEST(BbNode, PhaseTimestampsAreMonotone) {
   DriverConfig cfg;
   cfg.params = small(3);

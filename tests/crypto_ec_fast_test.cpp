@@ -202,10 +202,10 @@ TEST(EcFast, PippengerDegenerateInputs) {
 
 TEST(EcFast, MsmAutoSelectsAtCrossoverBoundary) {
   Rng rng(714);
-  // Pin the crossover and check the front door agrees with both engines
-  // at the boundary and one term either side of it.
-  std::size_t prev = ec_msm_set_crossover(4);
-  for (std::size_t n : {std::size_t{3}, std::size_t{4}, std::size_t{5}}) {
+  // The front door agrees with both engines at the crossover and one term
+  // either side of it.
+  ASSERT_EQ(kMsmCrossover, 64u);
+  for (std::size_t n : {kMsmCrossover - 1, kMsmCrossover, kMsmCrossover + 1}) {
     std::vector<Fn> ks;
     std::vector<Point> ps;
     for (std::size_t i = 0; i < n; ++i) {
@@ -216,8 +216,6 @@ TEST(EcFast, MsmAutoSelectsAtCrossoverBoundary) {
     EXPECT_TRUE(ec_eq(got, ec_msm_strauss(ks, ps))) << "n=" << n;
     EXPECT_TRUE(ec_eq(got, ec_msm_pippenger(ks, ps))) << "n=" << n;
   }
-  ec_msm_set_crossover(prev);
-  EXPECT_EQ(ec_msm_crossover(), prev);
 }
 
 TEST(EcFast, AddMixedMatchesGeneralAdd) {

@@ -122,9 +122,9 @@ TEST(Instrumentation, CampaignAccountingDeterministicAcrossRuns) {
   EXPECT_GT(a.collection.allocations, 0u);
   EXPECT_EQ(a.collection.events, b.collection.events);
   EXPECT_EQ(a.collection.allocations, b.collection.allocations);
-  // Virtual time/throughput are NOT asserted: the campaign runs the sim in
-  // hybrid mode (measure_cpu), so real handler CPU time feeds the virtual
-  // clock and only the discrete counters are bit-deterministic.
+  EXPECT_EQ(a.collection.virtual_s, b.collection.virtual_s);
+  EXPECT_EQ(a.throughput_ops, b.throughput_ops);
+  EXPECT_EQ(a.mean_latency_ms, b.mean_latency_ms);
 }
 
 TEST(Instrumentation, CampaignCountsInvariantAcrossShardCells) {

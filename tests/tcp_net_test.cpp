@@ -104,8 +104,6 @@ core::TcpClusterSpec sample_spec() {
   spec.seed = 77;
   spec.vc_only = true;
   spec.collection_only = true;
-  spec.vc_options.model_signatures = true;
-  spec.vc_options.sign_cost_us = 11;
   spec.vc_options.n_shards = 2;
   spec.trustee_options.poll_interval_us = 1234;
   spec.durability.wal_dir = "wal-dir";
