@@ -52,8 +52,9 @@ struct BallotProofs {
   std::vector<crypto::EgOpenInstance> opens;
 };
 
-BallotProofs make_ballot(const crypto::Point& key, std::size_t m,
+BallotProofs make_ballot(const crypto::FixedBaseComb& comb, std::size_t m,
                          const crypto::Fn& challenge, crypto::Rng& rng) {
+  const crypto::Point& key = comb.base();
   BallotProofs bp;
   crypto::ElGamalCipher sum{};
   crypto::Fn rsum = crypto::Fn::zero();
@@ -62,7 +63,7 @@ BallotProofs make_ballot(const crypto::Point& key, std::size_t m,
     crypto::Fn r = crypto::random_scalar(rng);
     crypto::ElGamalCipher c =
         crypto::eg_commit(key, one ? crypto::Fn::one() : crypto::Fn::zero(), r);
-    crypto::BitProof p = crypto::prove_bit(key, c, one, r, rng);
+    crypto::BitProof p = crypto::prove_bit(comb, c, one, r, rng);
     bp.bits.push_back(crypto::BitProofInstance{c, p.first_move, challenge,
                                                p.secrets.at(challenge)});
     sum = j == 0 ? c : crypto::eg_add(sum, c);
@@ -73,7 +74,7 @@ BallotProofs make_ballot(const crypto::Point& key, std::size_t m,
     bp.opens.push_back(
         crypto::EgOpenInstance{crypto::eg_commit(key, mo, ro), mo, ro});
   }
-  crypto::SumProof sp = crypto::prove_sum(key, rsum, rng);
+  crypto::SumProof sp = crypto::prove_sum(comb, rsum, rng);
   bp.sum = crypto::SumProofInstance{sum, crypto::Fn::one(), sp.first_move,
                                     challenge, sp.z.at(challenge)};
   return bp;
@@ -91,12 +92,13 @@ int main() {
   crypto::Rng rng(707);
   crypto::Point key = crypto::ec_mul_g(crypto::random_scalar(rng));
   crypto::Fn challenge = crypto::random_scalar(rng);
+  const crypto::FixedBaseComb comb(key);
 
   // Distinct-proof pool, tiled to the full audit size.
   constexpr std::size_t kPool = 64;
   std::vector<BallotProofs> pool;
   for (std::size_t i = 0; i < kPool; ++i) {
-    pool.push_back(make_ballot(key, m, challenge, rng));
+    pool.push_back(make_ballot(comb, m, challenge, rng));
   }
   std::vector<crypto::BitProofInstance> bits;
   std::vector<crypto::SumProofInstance> sums;

@@ -81,6 +81,29 @@ void BM_EcScalarMulNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_EcScalarMulNaive);
 
+void BM_EcMulG(benchmark::State& state) {
+  // k*G on the static G comb: at most 33 mixed additions.
+  Rng rng(41);
+  Fn k = random_scalar(rng);
+  ec_mul_g(k);  // builds the comb outside the timed loop
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ec_mul_g(k));
+  }
+}
+BENCHMARK(BM_EcMulG);
+
+void BM_FixedBaseCombBuild(benchmark::State& state) {
+  // The one-off cost of a comb: what every process pays for G and H, and
+  // a full EA setup pays once for the election's commitment key.
+  Rng rng(42);
+  Point base = ec_mul_g(random_scalar(rng));
+  for (auto _ : state) {
+    FixedBaseComb comb(base);
+    benchmark::DoNotOptimize(comb);
+  }
+}
+BENCHMARK(BM_FixedBaseCombBuild)->Unit(benchmark::kMillisecond);
+
 void BM_EcMul2(benchmark::State& state) {
   Rng rng(40);
   Fn a = random_scalar(rng);
@@ -288,6 +311,18 @@ void BM_ShamirReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_ShamirReconstruct)->Arg(4)->Arg(7)->Arg(10)->Arg(16);
 
+void BM_PedersenCommit(benchmark::State& state) {
+  // m*G + r*H: the G and H combs add into one accumulator.
+  Rng rng(43);
+  Fn m = random_scalar(rng);
+  Fn r = random_scalar(rng);
+  pedersen_commit(m, r);  // builds both combs outside the timed loop
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pedersen_commit(m, r));
+  }
+}
+BENCHMARK(BM_PedersenCommit);
+
 void BM_PedersenVssDeal(benchmark::State& state) {
   Rng rng(10);
   for (auto _ : state) {
@@ -319,10 +354,11 @@ BENCHMARK(BM_PedersenVssVerifyNaive);
 void BM_BitProofProve(benchmark::State& state) {
   Rng rng(12);
   Point key = ec_mul_g(random_scalar(rng));
+  const FixedBaseComb comb(key);
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::one(), r);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prove_bit(key, c, true, r, rng));
+    benchmark::DoNotOptimize(prove_bit(comb, c, true, r, rng));
   }
 }
 BENCHMARK(BM_BitProofProve);
@@ -332,7 +368,7 @@ void BM_BitProofVerify(benchmark::State& state) {
   Point key = ec_mul_g(random_scalar(rng));
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::one(), r);
-  BitProof p = prove_bit(key, c, true, r, rng);
+  BitProof p = prove_bit(FixedBaseComb(key), c, true, r, rng);
   Fn ch = random_scalar(rng);
   BitProofResponse resp = p.secrets.at(ch);
   for (auto _ : state) {
@@ -346,7 +382,7 @@ void BM_BitProofVerifyNaive(benchmark::State& state) {
   Point key = ec_mul_g(random_scalar(rng));
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::one(), r);
-  BitProof p = prove_bit(key, c, true, r, rng);
+  BitProof p = prove_bit(FixedBaseComb(key), c, true, r, rng);
   Fn ch = random_scalar(rng);
   BitProofResponse resp = p.secrets.at(ch);
   for (auto _ : state) {
@@ -360,12 +396,13 @@ void BM_BitProofVerifyBatch(benchmark::State& state) {
   Rng rng(130);
   std::size_t n = static_cast<std::size_t>(state.range(0));
   Point key = ec_mul_g(random_scalar(rng));
+  const FixedBaseComb comb(key);
   Fn ch = random_scalar(rng);
   std::vector<BitProofInstance> xs;
   for (std::size_t i = 0; i < n; ++i) {
     Fn r = random_scalar(rng);
     ElGamalCipher c = eg_commit(key, i % 2 ? Fn::one() : Fn::zero(), r);
-    BitProof p = prove_bit(key, c, i % 2 != 0, r, rng);
+    BitProof p = prove_bit(comb, c, i % 2 != 0, r, rng);
     xs.push_back(BitProofInstance{c, p.first_move, ch, p.secrets.at(ch)});
   }
   for (auto _ : state) {

@@ -767,53 +767,58 @@ Point ec_msm(std::span<const Fn> ks, std::span<const Point> ps) {
   return ec_msm_strauss(ks, ps);
 }
 
-namespace {
-
-// Fixed-base 4-bit comb: table[w][d] = d * 16^w * G, every entry
-// batch-normalized to affine at startup (one inversion for all 960
-// points), so generator multiplication is at most 64 mixed additions.
-const std::array<std::array<AffinePoint, 16>, 64>& g_comb_table() {
-  static const auto table = [] {
-    std::vector<Point> jac;
-    jac.reserve(64 * 15);
-    Point base = ec_generator();
-    for (std::size_t w = 0; w < 64; ++w) {
-      Point acc = base;
-      for (std::size_t d = 1; d < 16; ++d) {
-        jac.push_back(acc);
-        Point next = ec_add(acc, base);
-        if (d == 15) {
-          base = next;  // 16 * (16^w * G)
-        } else {
-          acc = next;
-        }
-      }
+FixedBaseComb::FixedBaseComb(const Point& base) : base_(base) {
+  // Window w is the chain d * B_w for d = 1..128, B_w = 256^w * base; the
+  // next window's B_{w+1} = 2 * (128 * B_w) doubles the chain's last entry.
+  std::vector<Point> jac;
+  jac.reserve(kWindows * kDigits);
+  Point bw = base;
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    jac.push_back(bw);
+    for (std::size_t d = 2; d <= kDigits; ++d) {
+      jac.push_back(ec_add(jac.back(), bw));
     }
-    std::vector<AffinePoint> aff = batch_to_affine(jac);
-    std::array<std::array<AffinePoint, 16>, 64> t{};
-    for (std::size_t w = 0; w < 64; ++w) {
-      t[w][0].infinity = true;
-      for (std::size_t d = 1; d < 16; ++d) {
-        t[w][d] = aff[w * 15 + d - 1];
-      }
-    }
-    return t;
-  }();
-  return table;
+    bw = ec_double(jac.back());
+  }
+  table_ = batch_to_affine(jac);
 }
 
-}  // namespace
-
-Point ec_mul_g(const Fn& k) {
-  const auto& table = g_comb_table();
+void FixedBaseComb::add_mul(Point& acc, const Fn& k) const {
+  // Signed bytes: a byte (plus the incoming carry) above 128 becomes
+  // v - 256 and carries one into the next window. k < n < 2^256, so the
+  // last carry lands in window 32 as the digit 1.
   U256 e = k.to_u256();
-  Point acc = Point::infinity();
-  for (std::size_t w = 0; w < 64; ++w) {
-    std::size_t digit = (e.w[w / 16] >> (4 * (w % 16))) & 0xf;
-    if (digit) acc = ec_add_mixed(acc, table[w][digit]);
+  int carry = 0;
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    int v = carry;
+    if (w < 32) v += static_cast<int>((e.w[w / 8] >> (8 * (w % 8))) & 0xff);
+    carry = v > static_cast<int>(kDigits) ? 1 : 0;
+    v -= carry << 8;
+    if (v == 0) continue;
+    AffinePoint t =
+        table_[w * kDigits + static_cast<std::size_t>(std::abs(v)) - 1];
+    if (v < 0) t.y = t.y.neg();
+    acc = ec_add_mixed(acc, t);
   }
+}
+
+Point FixedBaseComb::mul(const Fn& k) const {
+  Point acc = Point::infinity();
+  add_mul(acc, k);
   return acc;
 }
+
+const FixedBaseComb& ec_comb_g() {
+  static const FixedBaseComb comb(ec_generator());
+  return comb;
+}
+
+const FixedBaseComb& ec_comb_h() {
+  static const FixedBaseComb comb(ec_generator_h());
+  return comb;
+}
+
+Point ec_mul_g(const Fn& k) { return ec_comb_g().mul(k); }
 
 Fn random_scalar(Rng& rng) {
   // Rejection sample below the order for a uniform scalar.

@@ -52,22 +52,22 @@ ElGamalCipher eg_decode(BytesView b) {
   return ElGamalCipher{ec_decode(b.subspan(0, 33)), ec_decode(b.subspan(33))};
 }
 
-std::vector<ElGamalCipher> eg_commit_unit_vector(const Point& key,
+std::vector<ElGamalCipher> eg_commit_unit_vector(const FixedBaseComb& key,
                                                  std::size_t m,
                                                  std::size_t index,
                                                  std::span<const Fn> rs) {
   if (index >= m || rs.size() != m) {
     throw CryptoError("eg_commit_unit_vector: bad arguments");
   }
-  // Commit raw, then normalize all 2m component points with ONE shared
-  // field inversion before they are encoded onto ballots.
+  // Commit on the G and K combs, then normalize all 2m component points
+  // with ONE shared field inversion before they are encoded onto ballots.
   std::vector<Point> pts;
   pts.reserve(2 * m);
   for (std::size_t i = 0; i < m; ++i) {
-    ElGamalCipher c =
-        eg_commit_raw(key, i == index ? Fn::one() : Fn::zero(), rs[i]);
-    pts.push_back(c.a);
-    pts.push_back(c.b);
+    pts.push_back(ec_mul_g(rs[i]));
+    Point b = key.mul(rs[i]);
+    if (i == index) b = ec_add(b, ec_generator());
+    pts.push_back(b);
   }
   ec_normalize_batch(pts);
   std::vector<ElGamalCipher> out;

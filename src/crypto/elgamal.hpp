@@ -28,8 +28,8 @@ Bytes eg_encode(const ElGamalCipher& c);      // 66 bytes
 ElGamalCipher eg_decode(BytesView b);
 
 // Unit-vector commitment: m ciphertexts where position `index` encrypts 1
-// and all others 0, with fresh randomness rs[i].
-std::vector<ElGamalCipher> eg_commit_unit_vector(const Point& key,
+// and all others 0, with fresh randomness rs[i], under the key's comb.
+std::vector<ElGamalCipher> eg_commit_unit_vector(const FixedBaseComb& key,
                                                  std::size_t m,
                                                  std::size_t index,
                                                  std::span<const Fn> rs);

@@ -7,8 +7,10 @@
 namespace ddemos::crypto {
 
 Point pedersen_commit(const Fn& m, const Fn& r) {
-  // m*G + r*H as one interleaved Strauss double-mul.
-  return ec_mul2(r, ec_generator_h(), m);
+  // m*G + r*H: both combs add into one accumulator.
+  Point acc = ec_comb_g().mul(m);
+  ec_comb_h().add_mul(acc, r);
+  return acc;
 }
 
 PedersenDeal pedersen_vss_deal(const Fn& secret, std::size_t k, std::size_t n,

@@ -8,8 +8,9 @@
 
 namespace ddemos::crypto {
 
-BitProof prove_bit(const Point& key, const ElGamalCipher& cipher, bool bit,
-                   const Fn& r, Rng& rng) {
+BitProof prove_bit(const FixedBaseComb& key,
+                   const ElGamalCipher& /*cipher*/, bool bit, const Fn& r,
+                   Rng& rng) {
   // Statement pair per branch: branch d proves log_G(A) = log_K(B - d*G).
   // Simulate the false branch with a random (c_sim, z_sim); run the real
   // branch honestly with fresh randomness w.
@@ -17,18 +18,19 @@ BitProof prove_bit(const Point& key, const ElGamalCipher& cipher, bool bit,
   Fn z_sim = random_scalar(rng);
   Fn w = random_scalar(rng);
 
-  const Point& g = ec_generator();
-  Point b_sim = bit ? cipher.b : ec_sub(cipher.b, g);
-
-  // Simulated first move: t1 = z*G - c*A, t2 = z*K - c*(B - d_sim*G), each
-  // as one interleaved Strauss/MSM product.
-  Point t1_sim = ec_mul2(c_sim, ec_neg(cipher.a), z_sim);
-  std::array<Fn, 2> t2k{z_sim, c_sim};
-  std::array<Point, 2> t2p{key, ec_neg(b_sim)};
-  Point t2_sim = ec_msm(t2k, t2p);
+  // The cipher is fixed by (bit, r): A = r*G, B = bit*G + r*K. So the
+  // simulated branch's statement is (A, B - (1-bit)*G) = (r*G,
+  // (2*bit-1)*G + r*K), and its first move t1 = z*G - c*A and
+  // t2 = z*K - c*(B - (1-bit)*G) collapse, with e = z - c*r, to
+  // t1 = e*G and t2 = e*K -+ c*G: every point comes off a fixed-base comb.
+  const FixedBaseComb& g = ec_comb_g();
+  Fn e = z_sim - c_sim * r;
+  Point t1_sim = g.mul(e);
+  Point t2_sim = key.mul(e);
+  g.add_mul(t2_sim, bit ? c_sim.neg() : c_sim);
   // Real first move: t1 = w*G, t2 = w*K.
-  Point t1_real = ec_mul_g(w);
-  Point t2_real = ec_mul(w, key);
+  Point t1_real = g.mul(w);
+  Point t2_real = key.mul(w);
 
   BitProof out;
   if (!bit) {
@@ -46,6 +48,11 @@ BitProof prove_bit(const Point& key, const ElGamalCipher& cipher, bool bit,
     out.secrets.z1 = {w - c_sim * r, r};
   }
   return out;
+}
+
+BitProof prove_bit(const Point& key, const ElGamalCipher& cipher, bool bit,
+                   const Fn& r, Rng& rng) {
+  return prove_bit(FixedBaseComb(key), cipher, bit, r, rng);
 }
 
 namespace {
@@ -108,11 +115,12 @@ bool verify_bit_naive(const Point& key, const ElGamalCipher& cipher,
                ec_add(fm.t2_1, ec_mul_naive(resp.c1, b1)));
 }
 
-SumProof prove_sum(const Point& key, const Fn& total_randomness, Rng& rng) {
+SumProof prove_sum(const FixedBaseComb& key, const Fn& total_randomness,
+                   Rng& rng) {
   Fn w = random_scalar(rng);
   SumProof out;
   out.first_move.t1 = ec_mul_g(w);
-  out.first_move.t2 = ec_mul(w, key);
+  out.first_move.t2 = key.mul(w);
   out.z = {w, total_randomness};
   return out;
 }

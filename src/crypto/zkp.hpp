@@ -54,7 +54,15 @@ struct BitProof {
   BitProofSecrets secrets;
 };
 
-// `bit` must be the plaintext of `cipher` and `r` its randomness.
+// `bit` must be the plaintext of `cipher` and `r` its randomness: the
+// prover builds its first moves from (bit, r) on fixed-base combs and never
+// reads the cipher's points, so a cipher that does not open to (bit, r)
+// yields a proof that fails verification.
+BitProof prove_bit(const FixedBaseComb& key, const ElGamalCipher& cipher,
+                   bool bit, const Fn& r, Rng& rng);
+// Builds a comb for `key` for a single proof. Kept for callers that prove
+// once per key (the benchmark's unit-cost probe); loops build the comb once
+// and call the overload above.
 BitProof prove_bit(const Point& key, const ElGamalCipher& cipher, bool bit,
                    const Fn& r, Rng& rng);
 
@@ -78,7 +86,8 @@ struct SumProof {
   AffineScalar z;  // z(c) = w + c*R, R = sum of randomness
 };
 
-SumProof prove_sum(const Point& key, const Fn& total_randomness, Rng& rng);
+SumProof prove_sum(const FixedBaseComb& key, const Fn& total_randomness,
+                   Rng& rng);
 
 // `sum` must be the component-wise sum of the encoding's ciphertexts.
 bool verify_sum(const Point& key, const ElGamalCipher& sum, const Fn& total,

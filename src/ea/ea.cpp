@@ -1,6 +1,7 @@
 #include "ea/ea.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "crypto/commit.hpp"
@@ -67,6 +68,10 @@ class Generator {
   crypto::Rng rng_;
   Bytes msk_;
   crypto::Point commit_key_;
+  // Every encoding, bit proof and sum proof of the election multiplies the
+  // commitment key, so full setups build its comb once; vc_only setups
+  // never touch the key and skip the build.
+  std::optional<crypto::FixedBaseComb> commit_comb_;
 };
 
 Generator::Generator(const EaConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
@@ -118,6 +123,7 @@ Generator::Generator(const EaConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
     vi.coin_roots = coin_deal.round_roots;
   }
   if (cfg.vc_only) return;
+  commit_comb_.emplace(commit_key_);
   crypto::Hash32 h_msk = crypto::msk_fingerprint(msk_, salt_msk);
   out.bb_inits.resize(p.n_bb);
   for (std::size_t i = 0; i < p.n_bb; ++i) {
@@ -222,7 +228,7 @@ void Generator::each_ballot(Emit&& emit) {
         for (std::size_t j = 0; j < m; ++j) {
           rs.push_back(crypto::random_scalar(rng_));
         }
-        bl.encoding = crypto::eg_commit_unit_vector(commit_key_, m, opt, rs);
+        bl.encoding = crypto::eg_commit_unit_vector(*commit_comb_, m, opt, rs);
         crypto::Fn r_sum = crypto::Fn::zero();
         for (const auto& r : rs) r_sum = r_sum + r;
 
@@ -230,12 +236,12 @@ void Generator::each_ballot(Emit&& emit) {
         std::vector<crypto::BitProofSecrets> bit_secrets;
         for (std::size_t j = 0; j < m; ++j) {
           crypto::BitProof proof = crypto::prove_bit(
-              commit_key_, bl.encoding[j], j == opt, rs[j], rng_);
+              *commit_comb_, bl.encoding[j], j == opt, rs[j], rng_);
           bl.bit_proofs.push_back(proof.first_move);
           bit_secrets.push_back(proof.secrets);
         }
         crypto::SumProof sum_proof =
-            crypto::prove_sum(commit_key_, r_sum, rng_);
+            crypto::prove_sum(*commit_comb_, r_sum, rng_);
         bl.sum_proof = sum_proof.first_move;
 
         // Pedersen-VSS sharing of openings and ZK response coefficients.

@@ -65,6 +65,79 @@ TEST(EcFast, MulHandlesInfinityAndZero) {
                     ec_neg(ec_generator())));
 }
 
+// Scalars that walk the comb's signed-digit recoding through its corners:
+// digits 0 and 128 (bytes 0x00/0x80), negative digits with a carry in every
+// window (0x81.., runs of 0xff), a top byte that carries into window 32
+// (n-1, n-2), and random scalars.
+std::vector<Fn> comb_scalars(Rng& rng) {
+  std::vector<Fn> ks{Fn::zero(), Fn::one(), Fn::from_u64(2),
+                     Fn::zero() - Fn::one(), Fn::zero() - Fn::from_u64(2)};
+  for (const char* h :
+       {"8080808080808080808080808080808080808080808080808080808080808080",
+        "8181818181818181818181818181818181818181818181818181818181818181",
+        "00ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+        "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+        "00000000000000000000000000000000ffffffffffffffffffffffffffffffff",
+        "ff00ff00ff00ff00ff00ff00ff00ff00ff00ff00ff00ff00ff00ff00ff00ff00",
+        "7f807f807f807f807f807f807f807f807f807f807f807f807f807f807f807f80"}) {
+    ks.push_back(fn_from_hex(h));
+  }
+  for (int i = 0; i < 16; ++i) ks.push_back(random_scalar(rng));
+  return ks;
+}
+
+TEST(EcFast, FixedBaseCombMatchesNaive) {
+  Rng rng(720);
+  const FixedBaseComb own(ec_mul_naive(random_scalar(rng), ec_generator()));
+  const std::pair<const char*, const FixedBaseComb*> combs[] = {
+      {"G", &ec_comb_g()}, {"H", &ec_comb_h()}, {"random", &own}};
+  EXPECT_TRUE(ec_eq(ec_comb_g().base(), ec_generator()));
+  EXPECT_TRUE(ec_eq(ec_comb_h().base(), ec_generator_h()));
+  for (const Fn& k : comb_scalars(rng)) {
+    for (const auto& [name, comb] : combs) {
+      EXPECT_TRUE(ec_eq(comb->mul(k), ec_mul_naive(k, comb->base())))
+          << name << " k=" << to_hex(k.to_bytes_be());
+    }
+    EXPECT_TRUE(ec_eq(ec_mul_g(k), ec_mul_naive(k, ec_generator())));
+  }
+}
+
+TEST(EcFast, FixedBaseCombAddMulAccumulates) {
+  Rng rng(721);
+  const FixedBaseComb comb(ec_mul_naive(random_scalar(rng), ec_generator()));
+  Point start = ec_mul_naive(random_scalar(rng), ec_generator_h());
+  for (const Fn& k : comb_scalars(rng)) {
+    Point acc = start;
+    comb.add_mul(acc, k);
+    EXPECT_TRUE(ec_eq(acc, ec_add(start, ec_mul_naive(k, comb.base()))))
+        << to_hex(k.to_bytes_be());
+  }
+  // An accumulator that meets k*base exactly (doubling) or its negation
+  // (cancellation to infinity) inside the comb's additions.
+  Fn k = random_scalar(rng);
+  Point acc = ec_mul_naive(k, comb.base());
+  comb.add_mul(acc, k);
+  EXPECT_TRUE(ec_eq(acc, ec_mul_naive(k + k, comb.base())));
+  acc = ec_mul_naive(k, comb.base());
+  comb.add_mul(acc, k.neg());
+  EXPECT_TRUE(acc.is_infinity());
+}
+
+TEST(EcFast, PedersenCommitMatchesNaive) {
+  Rng rng(722);
+  auto naive = [](const Fn& m, const Fn& r) {
+    return ec_add(ec_mul_naive(m, ec_generator()),
+                  ec_mul_naive(r, ec_generator_h()));
+  };
+  const Fn r = random_scalar(rng);
+  for (const Fn& m : {Fn::zero(), Fn::one(), random_scalar(rng),
+                      Fn::zero() - Fn::one()}) {
+    EXPECT_TRUE(ec_eq(pedersen_commit(m, r), naive(m, r)));
+    EXPECT_TRUE(ec_eq(pedersen_commit(m, Fn::zero()), naive(m, Fn::zero())));
+  }
+  EXPECT_TRUE(pedersen_commit(Fn::zero(), Fn::zero()).is_infinity());
+}
+
 TEST(EcFast, Mul2MatchesNaiveCombination) {
   Rng rng(703);
   for (int i = 0; i < 12; ++i) {
@@ -451,10 +524,11 @@ TEST(EcFast, UcertBatchKeepsPerSignatureVerdicts) {
 TEST(EcFast, BitProofVerifierMatchesNaive) {
   Rng rng(711);
   Point key = ec_mul_g(random_scalar(rng));
+  const FixedBaseComb comb(key);
   for (bool bit : {false, true}) {
     Fn r = random_scalar(rng);
     ElGamalCipher c = eg_commit(key, bit ? Fn::one() : Fn::zero(), r);
-    BitProof p = prove_bit(key, c, bit, r, rng);
+    BitProof p = prove_bit(comb, c, bit, r, rng);
     Fn ch = random_scalar(rng);
     BitProofResponse resp = p.secrets.at(ch);
     EXPECT_TRUE(verify_bit(key, c, p.first_move, ch, resp));
@@ -491,7 +565,7 @@ TEST(EcFast, SumProofVerifierMatchesNaive) {
   Fn r1 = random_scalar(rng), r2 = random_scalar(rng);
   ElGamalCipher sum =
       eg_add(eg_commit(key, Fn::one(), r1), eg_commit(key, Fn::zero(), r2));
-  SumProof p = prove_sum(key, r1 + r2, rng);
+  SumProof p = prove_sum(FixedBaseComb(key), r1 + r2, rng);
   Fn ch = random_scalar(rng);
   Fn z = p.z.at(ch);
   EXPECT_TRUE(verify_sum(key, sum, Fn::one(), p.first_move, ch, z));
@@ -544,7 +618,7 @@ TEST(EcFast, CommitmentsStayNormalizedAndCorrect) {
 
   std::vector<Fn> rs;
   for (int i = 0; i < 4; ++i) rs.push_back(random_scalar(rng));
-  auto cs = eg_commit_unit_vector(key, 4, 2, rs);
+  auto cs = eg_commit_unit_vector(FixedBaseComb(key), 4, 2, rs);
   for (std::size_t i = 0; i < cs.size(); ++i) {
     EXPECT_TRUE(cs[i].a.Z == Fp::one());
     EXPECT_TRUE(cs[i].b.Z == Fp::one());
@@ -584,6 +658,7 @@ TEST(EcFast, SchnorrBatchAcceptsValidAndFlagsForgery) {
 TEST(EcFast, BitAndSumBatchesMatchPerInstanceDecisions) {
   Rng rng(716);
   Point key = ec_mul_g(random_scalar(rng));
+  const FixedBaseComb comb(key);
   Fn ch = random_scalar(rng);
   std::vector<BitProofInstance> bits;
   std::vector<SumProofInstance> sums;
@@ -591,9 +666,9 @@ TEST(EcFast, BitAndSumBatchesMatchPerInstanceDecisions) {
     Fn r = random_scalar(rng);
     bool bit = i % 2 != 0;
     ElGamalCipher c = eg_commit(key, bit ? Fn::one() : Fn::zero(), r);
-    BitProof p = prove_bit(key, c, bit, r, rng);
+    BitProof p = prove_bit(comb, c, bit, r, rng);
     bits.push_back(BitProofInstance{c, p.first_move, ch, p.secrets.at(ch)});
-    SumProof sp = prove_sum(key, r, rng);
+    SumProof sp = prove_sum(comb, r, rng);
     sums.push_back(SumProofInstance{c, bit ? Fn::one() : Fn::zero(),
                                     sp.first_move, ch, sp.z.at(ch)});
   }

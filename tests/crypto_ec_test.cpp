@@ -140,16 +140,17 @@ TEST(ElGamal, EncodeDecode) {
 TEST(ElGamal, UnitVectorCommit) {
   Rng rng(31);
   Point key = ec_mul_g(random_scalar(rng));
+  const FixedBaseComb comb(key);
   std::size_t m = 5, idx = 2;
   std::vector<Fn> rs;
   for (std::size_t i = 0; i < m; ++i) rs.push_back(random_scalar(rng));
-  auto cs = eg_commit_unit_vector(key, m, idx, rs);
+  auto cs = eg_commit_unit_vector(comb, m, idx, rs);
   ASSERT_EQ(cs.size(), m);
   for (std::size_t i = 0; i < m; ++i) {
     Fn expect = (i == idx) ? Fn::one() : Fn::zero();
     EXPECT_TRUE(eg_open_check(key, cs[i], expect, rs[i]));
   }
-  EXPECT_THROW(eg_commit_unit_vector(key, m, 9, rs), CryptoError);
+  EXPECT_THROW(eg_commit_unit_vector(comb, m, 9, rs), CryptoError);
 }
 
 TEST(ElGamal, UnitVectorSumOpensToOne) {
@@ -158,7 +159,7 @@ TEST(ElGamal, UnitVectorSumOpensToOne) {
   std::size_t m = 4;
   std::vector<Fn> rs;
   for (std::size_t i = 0; i < m; ++i) rs.push_back(random_scalar(rng));
-  auto cs = eg_commit_unit_vector(key, m, 1, rs);
+  auto cs = eg_commit_unit_vector(FixedBaseComb(key), m, 1, rs);
   ElGamalCipher sum = cs[0];
   Fn rsum = rs[0];
   for (std::size_t i = 1; i < m; ++i) {

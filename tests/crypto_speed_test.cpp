@@ -155,7 +155,7 @@ TEST(CryptoSpeed, BitProofVerifySpeedupReported) {
   Point key = ec_mul_g(random_scalar(rng));
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::one(), r);
-  BitProof p = prove_bit(key, c, true, r, rng);
+  BitProof p = prove_bit(FixedBaseComb(key), c, true, r, rng);
   Fn ch = random_scalar(rng);
   BitProofResponse resp = p.secrets.at(ch);
   ASSERT_TRUE(verify_bit(key, c, p.first_move, ch, resp));

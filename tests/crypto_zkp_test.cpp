@@ -10,12 +10,13 @@ namespace {
 struct ZkpFixture : ::testing::Test {
   Rng rng{61};
   Point key = ec_mul_g(random_scalar(rng));
+  FixedBaseComb comb{key};
 };
 
 TEST_F(ZkpFixture, BitProofAcceptsZero) {
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::zero(), r);
-  BitProof p = prove_bit(key, c, false, r, rng);
+  BitProof p = prove_bit(comb, c, false, r, rng);
   Fn ch = challenge_from_coins(to_bytes("e1"), to_bytes("0110"));
   EXPECT_TRUE(verify_bit(key, c, p.first_move, ch, p.secrets.at(ch)));
 }
@@ -23,7 +24,7 @@ TEST_F(ZkpFixture, BitProofAcceptsZero) {
 TEST_F(ZkpFixture, BitProofAcceptsOne) {
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::one(), r);
-  BitProof p = prove_bit(key, c, true, r, rng);
+  BitProof p = prove_bit(comb, c, true, r, rng);
   Fn ch = challenge_from_coins(to_bytes("e1"), to_bytes("1011"));
   EXPECT_TRUE(verify_bit(key, c, p.first_move, ch, p.secrets.at(ch)));
 }
@@ -31,10 +32,48 @@ TEST_F(ZkpFixture, BitProofAcceptsOne) {
 TEST_F(ZkpFixture, BitProofWorksForManyChallenges) {
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::one(), r);
-  BitProof p = prove_bit(key, c, true, r, rng);
+  BitProof p = prove_bit(comb, c, true, r, rng);
   for (int i = 0; i < 10; ++i) {
     Fn ch = random_scalar(rng);
     EXPECT_TRUE(verify_bit(key, c, p.first_move, ch, p.secrets.at(ch)));
+  }
+}
+
+// The prover builds its first moves on fixed-base combs from (bit, r); they
+// must be the very points of the textbook construction over the cipher:
+// t_sim = (z*G - c*A, z*K - c*B_sim) on the simulated branch and
+// (w*G, w*K) on the real one, with (c_sim, z_sim, w) replayed from a copy
+// of the prover's rng.
+TEST_F(ZkpFixture, BitProverMatchesTextbookFirstMoves) {
+  const Point& g = ec_generator();
+  for (bool bit : {false, true}) {
+    Fn r = random_scalar(rng);
+    ElGamalCipher c = eg_commit(key, bit ? Fn::one() : Fn::zero(), r);
+    Rng replay = rng;
+    BitProof p = prove_bit(comb, c, bit, r, rng);
+    Fn c_sim = random_scalar(replay);
+    Fn z_sim = random_scalar(replay);
+    Fn w = random_scalar(replay);
+
+    Point b_sim = bit ? c.b : ec_sub(c.b, g);
+    Point t1_sim = ec_sub(ec_mul_naive(z_sim, g), ec_mul_naive(c_sim, c.a));
+    Point t2_sim =
+        ec_sub(ec_mul_naive(z_sim, key), ec_mul_naive(c_sim, b_sim));
+    Point t1_real = ec_mul_naive(w, g);
+    Point t2_real = ec_mul_naive(w, key);
+    const BitProofFirstMove& fm = p.first_move;
+    EXPECT_TRUE(ec_eq(bit ? fm.t1_0 : fm.t1_1, t1_sim)) << bit;
+    EXPECT_TRUE(ec_eq(bit ? fm.t2_0 : fm.t2_1, t2_sim)) << bit;
+    EXPECT_TRUE(ec_eq(bit ? fm.t1_1 : fm.t1_0, t1_real)) << bit;
+    EXPECT_TRUE(ec_eq(bit ? fm.t2_1 : fm.t2_0, t2_real)) << bit;
+
+    Fn ch = random_scalar(rng);
+    EXPECT_TRUE(verify_bit(key, c, fm, ch, p.secrets.at(ch))) << bit;
+    // A one-ciphertext encoding sums to its own plaintext.
+    SumProof sp = prove_sum(comb, r, rng);
+    EXPECT_TRUE(verify_sum(key, c, bit ? Fn::one() : Fn::zero(),
+                           sp.first_move, ch, sp.z.at(ch)))
+        << bit;
   }
 }
 
@@ -44,7 +83,7 @@ TEST_F(ZkpFixture, BitProofRejectsTwo) {
   // challenges.
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::from_u64(2), r);
-  BitProof p = prove_bit(key, c, true, r, rng);
+  BitProof p = prove_bit(comb, c, true, r, rng);
   Fn ch = challenge_from_coins(to_bytes("e1"), to_bytes("001"));
   EXPECT_FALSE(verify_bit(key, c, p.first_move, ch, p.secrets.at(ch)));
 }
@@ -52,7 +91,7 @@ TEST_F(ZkpFixture, BitProofRejectsTwo) {
 TEST_F(ZkpFixture, BitProofRejectsWrongChallenge) {
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::zero(), r);
-  BitProof p = prove_bit(key, c, false, r, rng);
+  BitProof p = prove_bit(comb, c, false, r, rng);
   Fn ch1 = challenge_from_coins(to_bytes("e1"), to_bytes("0"));
   Fn ch2 = challenge_from_coins(to_bytes("e1"), to_bytes("1"));
   // Response computed for ch1 must not verify against ch2.
@@ -62,7 +101,7 @@ TEST_F(ZkpFixture, BitProofRejectsWrongChallenge) {
 TEST_F(ZkpFixture, BitProofRejectsMismatchedCipher) {
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::zero(), r);
-  BitProof p = prove_bit(key, c, false, r, rng);
+  BitProof p = prove_bit(comb, c, false, r, rng);
   ElGamalCipher other = eg_commit(key, Fn::zero(), random_scalar(rng));
   Fn ch = random_scalar(rng);
   EXPECT_FALSE(verify_bit(key, other, p.first_move, ch, p.secrets.at(ch)));
@@ -73,7 +112,7 @@ TEST_F(ZkpFixture, ResponsesAreShareable) {
   // shares at the challenge, reconstruct the response, verify.
   Fn r = random_scalar(rng);
   ElGamalCipher c = eg_commit(key, Fn::one(), r);
-  BitProof p = prove_bit(key, c, true, r, rng);
+  BitProof p = prove_bit(comb, c, true, r, rng);
   Fn ch = challenge_from_coins(to_bytes("e9"), to_bytes("101"));
 
   constexpr std::size_t kT = 3, kN = 5;
@@ -101,14 +140,14 @@ TEST_F(ZkpFixture, SumProofAccepts) {
   std::size_t m = 4;
   std::vector<Fn> rs;
   for (std::size_t i = 0; i < m; ++i) rs.push_back(random_scalar(rng));
-  auto cs = eg_commit_unit_vector(key, m, 2, rs);
+  auto cs = eg_commit_unit_vector(comb, m, 2, rs);
   ElGamalCipher sum = cs[0];
   Fn rsum = rs[0];
   for (std::size_t i = 1; i < m; ++i) {
     sum = eg_add(sum, cs[i]);
     rsum = rsum + rs[i];
   }
-  SumProof p = prove_sum(key, rsum, rng);
+  SumProof p = prove_sum(comb, rsum, rng);
   Fn ch = random_scalar(rng);
   EXPECT_TRUE(verify_sum(key, sum, Fn::one(), p.first_move, ch, p.z.at(ch)));
 }
@@ -130,7 +169,7 @@ TEST_F(ZkpFixture, SumProofRejectsDoubleVoteEncoding) {
     sum = eg_add(sum, cs[i]);
     rsum = rsum + rs[i];
   }
-  SumProof p = prove_sum(key, rsum, rng);
+  SumProof p = prove_sum(comb, rsum, rng);
   Fn ch = random_scalar(rng);
   EXPECT_FALSE(verify_sum(key, sum, Fn::one(), p.first_move, ch, p.z.at(ch)));
   // It does prove sum == 2, which verifiers never accept for a ballot.

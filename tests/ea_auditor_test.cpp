@@ -5,6 +5,8 @@
 
 #include "core/driver.hpp"
 #include "crypto/commit.hpp"
+#include "crypto/sha256.hpp"
+#include "util/hex.hpp"
 
 namespace ddemos::core {
 namespace {
@@ -232,6 +234,94 @@ TEST(EaSetup, StreamingYieldsExactlyTheVcOnlySetup) {
     EXPECT_EQ(got.msk_share_root, want.msk_share_root);
     EXPECT_EQ(got.coin_roots, want.coin_roots);
   }
+}
+
+// SHA-256 over every field of every artifact, in the order the artifacts
+// hold them, with the node codecs where one exists.
+std::string artifacts_digest(const ea::SetupArtifacts& a) {
+  Writer w;
+  auto hash_vec = [&w](const std::vector<crypto::Hash32>& hs) {
+    w.u64(hs.size());
+    for (const auto& h : hs) encode_hash(w, h);
+  };
+  auto bytes_vec = [&w](const std::vector<Bytes>& bs) {
+    w.u64(bs.size());
+    for (const auto& b : bs) w.bytes(b);
+  };
+  for (const Ballot& b : a.voter_ballots) {
+    w.u64(b.serial);
+    for (const auto& part : b.parts) {
+      for (const BallotLine& l : part.lines) {
+        w.bytes(l.vote_code);
+        w.str(l.option);
+        w.u64(l.receipt);
+      }
+    }
+  }
+  for (const VcInit& v : a.vc_inits) {
+    v.params.encode(w);
+    w.u64(v.node_index);
+    encode_scalar(w, v.signing_key);
+    bytes_vec(v.vc_public_keys);
+    encode_share(w, v.msk_share);
+    hash_vec(v.msk_share_path);
+    encode_hash(w, v.msk_share_root);
+    for (const auto& c : v.coin_shares) c.encode(w);
+    hash_vec(v.coin_roots);
+    for (const VcBallotInit& b : v.ballots) b.encode(w);
+  }
+  for (const BbInit& bi : a.bb_inits) {
+    bi.params.encode(w);
+    w.u64(bi.node_index);
+    encode_point(w, bi.commit_key);
+    encode_hash(w, bi.h_msk);
+    w.bytes(bi.salt_msk);
+    encode_hash(w, bi.msk_share_root);
+    bytes_vec(bi.vc_public_keys);
+    bytes_vec(bi.trustee_public_keys);
+    for (const BbBallotInit& b : bi.ballots) {
+      w.u64(b.serial);
+      for (const auto& part : b.parts) {
+        for (const BbLineInit& l : part) l.encode(w);
+      }
+    }
+  }
+  for (const TrusteeInit& t : a.trustee_inits) {
+    t.params.encode(w);
+    w.u64(t.node_index);
+    encode_scalar(w, t.signing_key);
+    bytes_vec(t.trustee_public_keys);
+    encode_point(w, t.commit_key);
+    for (const TrusteeBallotInit& b : t.ballots) {
+      w.u64(b.serial);
+      for (const auto& part : b.parts) {
+        for (const TrusteeLineInit& l : part) {
+          for (const auto& s : l.open_m) encode_ped_share(w, s);
+          for (const auto& s : l.open_r) encode_ped_share(w, s);
+          for (const auto& bits : l.zk_bits) {
+            for (const auto& s : bits) encode_ped_share(w, s);
+          }
+          encode_ped_share(w, l.sum_u);
+          encode_ped_share(w, l.sum_v);
+        }
+      }
+    }
+  }
+  return to_hex(crypto::hash_view(crypto::sha256(w.data())));
+}
+
+// The EA's output is a pure function of (params, seed): any change to how
+// the points are computed must leave every published byte where it was.
+TEST(EaSetup, ArtifactsArePinned) {
+  auto cfg = base_config();
+  cfg.params.options = {"a", "b", "c"};
+  cfg.params.n_voters = 12;
+  cfg.seed = 77;
+  EXPECT_EQ(artifacts_digest(ea::ea_setup(cfg)),
+            "2d55b2ee8faf99060fd687428336322f8e2ae1d97b00762c2f379d40a00f77e0");
+  cfg.vc_only = true;
+  EXPECT_EQ(artifacts_digest(ea::ea_setup(cfg)),
+            "5bf04da6e6e680971f5a4054b6143217002225be546c477f3725a747d2323529");
 }
 
 TEST(Auditor, FailsClosedWithoutMajority) {
