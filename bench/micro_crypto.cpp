@@ -93,16 +93,22 @@ void BM_EcMulG(benchmark::State& state) {
 BENCHMARK(BM_EcMulG);
 
 void BM_FixedBaseCombBuild(benchmark::State& state) {
-  // The one-off cost of a comb: what every process pays for G and H, and
-  // a full EA setup pays once for the election's commitment key.
+  // The one-off cost of a comb at the given digit width: width 8 is what
+  // every process pays for G and H, and a full EA setup pays once for the
+  // election's commitment key; width 5 is what a process pays once per
+  // distinct node key it checks signatures against.
   Rng rng(42);
   Point base = ec_mul_g(random_scalar(rng));
+  const int width = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    FixedBaseComb comb(base);
+    FixedBaseComb comb(base, width);
     benchmark::DoNotOptimize(comb);
   }
 }
-BENCHMARK(BM_FixedBaseCombBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FixedBaseCombBuild)
+    ->Arg(8)
+    ->Arg(kKeyCombWidth)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EcMul2(benchmark::State& state) {
   Rng rng(40);
@@ -204,6 +210,18 @@ void BM_SchnorrSign(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrSign);
 
+// The form a collector signs with: the key pair derived once, so a
+// signature is one k*G on the G comb plus the hashes.
+void BM_SchnorrSignKeyPair(benchmark::State& state) {
+  Rng rng(5);
+  KeyPair kp = schnorr_keygen(rng);
+  Bytes msg = to_bytes("endorsement digest");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(schnorr_sign(kp, msg));
+  }
+}
+BENCHMARK(BM_SchnorrSignKeyPair);
+
 void BM_SchnorrVerify(benchmark::State& state) {
   Rng rng(6);
   KeyPair kp = schnorr_keygen(rng);
@@ -228,6 +246,21 @@ void BM_SchnorrVerifyKeyed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerifyKeyed);
+
+// The verify against a node key as the collectors and BBs hold it
+// (decode_schnorr_keys): s*G and -e*P on two fixed-base combs.
+void BM_SchnorrVerifyNodeKey(benchmark::State& state) {
+  Rng rng(6);
+  KeyPair kp = schnorr_keygen(rng);
+  const std::vector<Bytes> pks{kp.pk};
+  std::vector<SchnorrKey> keys = decode_schnorr_keys(pks);
+  Bytes msg = to_bytes("endorsement digest");
+  Bytes sig = schnorr_sign(kp, msg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(schnorr_verify(keys[0], msg, sig));
+  }
+}
+BENCHMARK(BM_SchnorrVerifyNodeKey);
 
 void BM_SchnorrVerifyNaive(benchmark::State& state) {
   Rng rng(6);
@@ -257,7 +290,8 @@ void BM_SchnorrVerifyBatch(benchmark::State& state) {
 BENCHMARK(BM_SchnorrVerifyBatch)->Arg(16)->Arg(64);
 
 // One UCERT check as a collector makes it: a threshold of endorsement
-// signatures from distinct collectors, batch-verified against decoded keys.
+// signatures from distinct collectors, checked against the node keys'
+// combs (decode_schnorr_keys).
 void BM_UcertValid(benchmark::State& state) {
   Rng rng(61);
   std::size_t threshold = static_cast<std::size_t>(state.range(0));

@@ -31,7 +31,8 @@ namespace ddemos::crypto {
 
 // The keyed core: each instance names a verifier key decoded once
 // (schnorr.hpp); the views must outlive the call. A key that did not
-// decode fails the whole batch.
+// decode fails the whole batch. When every key carries a comb, the
+// instances are checked one by one on their combs instead of folded.
 struct SchnorrKeyedInstance {
   const SchnorrKey* key = nullptr;
   BytesView msg, sig;

@@ -767,15 +767,23 @@ Point ec_msm(std::span<const Fn> ks, std::span<const Point> ps) {
   return ec_msm_strauss(ks, ps);
 }
 
-FixedBaseComb::FixedBaseComb(const Point& base) : base_(base) {
-  // Window w is the chain d * B_w for d = 1..128, B_w = 256^w * base; the
-  // next window's B_{w+1} = 2 * (128 * B_w) doubles the chain's last entry.
+FixedBaseComb::FixedBaseComb(const Point& base, int width)
+    : base_(base), width_(width) {
+  if (width < 2 || width > 16) {
+    throw CryptoError("FixedBaseComb: width must be in [2, 16]");
+  }
+  // 257 bits: a scalar below n < 2^256 plus the recoding's last carry.
+  windows_ = static_cast<std::size_t>((257 + width - 1) / width);
+  digits_ = std::size_t{1} << (width - 1);
+  // Window i is the chain d * B_i for d = 1..digits_, B_i = 2^(w*i) * base;
+  // the next window's B_{i+1} = 2 * (digits_ * B_i) doubles the chain's
+  // last entry.
   std::vector<Point> jac;
-  jac.reserve(kWindows * kDigits);
+  jac.reserve(windows_ * digits_);
   Point bw = base;
-  for (std::size_t w = 0; w < kWindows; ++w) {
+  for (std::size_t w = 0; w < windows_; ++w) {
     jac.push_back(bw);
-    for (std::size_t d = 2; d <= kDigits; ++d) {
+    for (std::size_t d = 2; d <= digits_; ++d) {
       jac.push_back(ec_add(jac.back(), bw));
     }
     bw = ec_double(jac.back());
@@ -784,19 +792,23 @@ FixedBaseComb::FixedBaseComb(const Point& base) : base_(base) {
 }
 
 void FixedBaseComb::add_mul(Point& acc, const Fn& k) const {
-  // Signed bytes: a byte (plus the incoming carry) above 128 becomes
-  // v - 256 and carries one into the next window. k < n < 2^256, so the
-  // last carry lands in window 32 as the digit 1.
-  U256 e = k.to_u256();
+  // Signed digits: a window (plus the incoming carry) above 2^(w-1)
+  // becomes v - 2^w and carries one into the next window. Windows are
+  // read with word shifts; past bit 255 they read zero, so the top window
+  // holds only the last carry and the scalar's top bits, never above
+  // 2^(w-1).
+  const U256 e = k.to_u256();
+  const int half = static_cast<int>(digits_);
+  const int full = half << 1;
   int carry = 0;
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    int v = carry;
-    if (w < 32) v += static_cast<int>((e.w[w / 8] >> (8 * (w % 8))) & 0xff);
-    carry = v > static_cast<int>(kDigits) ? 1 : 0;
-    v -= carry << 8;
+  for (std::size_t w = 0; w < windows_; ++w) {
+    int v = carry + static_cast<int>(u256_window(
+                        e, static_cast<int>(w) * width_, width_));
+    carry = v > half ? 1 : 0;
+    v -= carry * full;
     if (v == 0) continue;
     AffinePoint t =
-        table_[w * kDigits + static_cast<std::size_t>(std::abs(v)) - 1];
+        table_[w * digits_ + static_cast<std::size_t>(std::abs(v)) - 1];
     if (v < 0) t.y = t.y.neg();
     acc = ec_add_mixed(acc, t);
   }

@@ -11,9 +11,10 @@
 // products share one doubling ladder and one field inversion.
 //
 // Products on a base that is known ahead of time and used many times (G,
-// the Pedersen generator H, an election's commitment key) skip the ladder
-// altogether: a FixedBaseComb holds every signed 8-bit digit multiple of
-// every byte position, so a product is at most 33 mixed additions.
+// the Pedersen generator H, an election's commitment key, the node keys
+// every signature is checked against) skip the ladder altogether: a
+// FixedBaseComb holds every signed w-bit digit multiple of every window,
+// so a product is at most ceil(257/w) mixed additions.
 #pragma once
 
 #include <span>
@@ -96,18 +97,21 @@ const Point& ec_generator_h();
 Bytes ec_encode(const Point& p);
 Point ec_decode(BytesView b);  // throws CryptoError on invalid encodings
 
-// Fixed-base signed-digit 8-bit comb: table[w][d-1] = d * 256^w * base for
-// 33 byte windows and d = 1..128, every entry batch-normalized to affine by
-// one simultaneous inversion. A scalar is recoded into bytes with digits in
-// [-127, 128] (the carry spills into window 32), so a product is at most 33
-// mixed additions with no doubling and no inversion. Costs one build of
-// 4,224 additions and about 300 KB, so it pays off only for a base that
-// multiplies many scalars.
+// Fixed-base signed-digit comb of width w: table[i][d-1] = d * 2^(w*i) *
+// base for d = 1..2^(w-1) and ceil(257/w) windows, every entry
+// batch-normalized to affine by one simultaneous inversion. A scalar is
+// recoded into w-bit digits in [-2^(w-1)+1, 2^(w-1)] (the 257th bit holds
+// the last carry), so a product is one mixed addition per window, with no
+// doubling and no inversion. Width 8 (G, H, a commitment key): 33 windows
+// x 128 entries, about 300 KB and 4,224 additions to build. Width 5 (a
+// node's signing key): 52 windows x 16 entries, about 60 KB and 832
+// additions. A comb pays off only for a base that multiplies many scalars.
 class FixedBaseComb {
  public:
-  explicit FixedBaseComb(const Point& base);
+  explicit FixedBaseComb(const Point& base, int width = 8);
 
   const Point& base() const { return base_; }
+  int width() const { return width_; }
   // k * base.
   Point mul(const Fn& k) const;
   // acc += k * base, on the caller's accumulator (so two combs can share
@@ -115,11 +119,11 @@ class FixedBaseComb {
   void add_mul(Point& acc, const Fn& k) const;
 
  private:
-  static constexpr std::size_t kWindows = 33;
-  static constexpr std::size_t kDigits = 128;
-
   Point base_;
-  std::vector<AffinePoint> table_;  // kWindows * kDigits, window-major
+  int width_;
+  std::size_t windows_;
+  std::size_t digits_;              // 2^(width-1) entries per window
+  std::vector<AffinePoint> table_;  // windows_ * digits_, window-major
 };
 
 // The process-wide combs for G and H, built on first use.

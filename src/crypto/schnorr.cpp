@@ -1,5 +1,8 @@
 #include "crypto/schnorr.hpp"
 
+#include <map>
+#include <mutex>
+
 #include "crypto/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "util/error.hpp"
@@ -56,11 +59,56 @@ SchnorrKey SchnorrKey::decode(BytesView pk) {
   return key;
 }
 
+namespace {
+
+// Weak references, so the registry never keeps a comb alive by itself.
+struct KeyCombRegistry {
+  std::mutex mu;
+  std::map<Bytes, std::weak_ptr<const FixedBaseComb>> combs;
+};
+
+KeyCombRegistry& key_comb_registry() {
+  static KeyCombRegistry reg;
+  return reg;
+}
+
+void erase_expired(KeyCombRegistry& reg) {
+  std::erase_if(reg.combs, [](const auto& kv) { return kv.second.expired(); });
+}
+
+// Built under the lock: threads decoding the same key set at once wait
+// for one build instead of each making its own.
+std::shared_ptr<const FixedBaseComb> shared_key_comb(const SchnorrKey& key) {
+  KeyCombRegistry& reg = key_comb_registry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  erase_expired(reg);
+  std::weak_ptr<const FixedBaseComb>& slot = reg.combs[key.enc];
+  std::shared_ptr<const FixedBaseComb> comb = slot.lock();
+  if (!comb) {
+    comb = std::make_shared<const FixedBaseComb>(key.point, kKeyCombWidth);
+    slot = comb;
+  }
+  return comb;
+}
+
+}  // namespace
+
 std::vector<SchnorrKey> decode_schnorr_keys(std::span<const Bytes> pks) {
   std::vector<SchnorrKey> keys;
   keys.reserve(pks.size());
-  for (const Bytes& pk : pks) keys.push_back(SchnorrKey::decode(pk));
+  for (const Bytes& pk : pks) {
+    SchnorrKey key = SchnorrKey::decode(pk);
+    if (key.ok) key.comb = shared_key_comb(key);
+    keys.push_back(std::move(key));
+  }
   return keys;
+}
+
+std::size_t schnorr_key_combs_live() {
+  KeyCombRegistry& reg = key_comb_registry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  erase_expired(reg);
+  return reg.combs.size();
 }
 
 bool schnorr_verify(const SchnorrKey& pk, BytesView msg, BytesView sig) {
@@ -69,10 +117,17 @@ bool schnorr_verify(const SchnorrKey& pk, BytesView msg, BytesView sig) {
     Point r = ec_decode(sig.subspan(0, 33));
     Fn s = Fn::from_bytes_mod(sig.subspan(33));
     Fn e = schnorr_challenge(sig.subspan(0, 33), pk.enc, msg);
-    // s*G - e*P - R == 0: one interleaved Strauss double-mul plus one
-    // mixed addition (R arrives normalized from ec_decode), no ec_eq
-    // cross-multiplication.
-    Point acc = ec_mul2(e, ec_neg(pk.point), s);
+    // s*G - e*P - R == 0, closed by one mixed addition (R arrives
+    // normalized from ec_decode), no ec_eq cross-multiplication. With a
+    // comb, s*G - e*P is two fixed-base products into one accumulator;
+    // without, one interleaved Strauss double-mul.
+    Point acc;
+    if (pk.comb) {
+      acc = ec_comb_g().mul(s);
+      pk.comb->add_mul(acc, e.neg());
+    } else {
+      acc = ec_mul2(e, ec_neg(pk.point), s);
+    }
     AffinePoint ra = to_affine(r);
     if (!ra.infinity) ra.y = ra.y.neg();
     return ec_add_mixed(acc, ra).is_infinity();

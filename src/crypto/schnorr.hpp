@@ -3,6 +3,7 @@
 // sign ENDORSEMENT messages with these keys, trustees sign BB writes.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -15,20 +16,36 @@ struct KeyPair {
   Bytes pk;  // compressed point encoding, 33 bytes
 };
 
+// Digit width of a node key's comb (ec.hpp): 52 windows x 16 entries,
+// about 60 KB, at most 52 mixed additions per product.
+inline constexpr int kKeyCombWidth = 5;
+
 // A verifier key decoded once: the node keys of an election are fixed, so
 // the collectors and BBs decode them at construction instead of on every
 // verify. `enc` is the encoding the challenge hashes; `point` is its
 // decoded, normalized (Z == 1) point. An encoding that does not decode
 // gives a key with ok == false, against which every signature fails (as
-// schnorr_verify fails on an undecodable pk).
+// schnorr_verify fails on an undecodable pk). `comb`, when set, is the
+// key's fixed-base comb: a check against it is two comb products (s*G on
+// the G comb, -e*P on this one) with no doubling ladder.
 struct SchnorrKey {
   Bytes enc;
   Point point;
   bool ok = false;
+  std::shared_ptr<const FixedBaseComb> comb;
 
+  // Comb-less: for a key checked once or a few times.
   static SchnorrKey decode(BytesView pk);
 };
+// An election's node keys (the VC keys, the trustee keys): decodes each
+// and attaches its comb from a process-wide registry keyed by the
+// encoding. The registry holds one comb per distinct key however many
+// nodes of the process hold that key; a comb is freed with its last
+// holder and its entry erased on a later lookup. Thread-safe.
 std::vector<SchnorrKey> decode_schnorr_keys(std::span<const Bytes> pks);
+// Erases the registry entries of freed combs and returns how many remain,
+// each a live comb.
+std::size_t schnorr_key_combs_live();
 
 KeyPair schnorr_keygen(Rng& rng);
 // The key pair of a secret: pk = ec_encode(sk*G).

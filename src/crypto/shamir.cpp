@@ -61,26 +61,63 @@ std::vector<Fn> lagrange_at_zero(std::span<const std::uint32_t> xs) {
   return weights;
 }
 
-Fn shamir_reconstruct(std::span<const Share> shares, std::size_t k) {
-  if (shares.size() < k) throw CryptoError("shamir_reconstruct: too few shares");
-  std::vector<std::uint32_t> xs;
-  std::vector<Fn> ys;
-  xs.reserve(k);
-  ys.reserve(k);
-  for (const Share& s : shares) {
-    if (std::find(xs.begin(), xs.end(), s.x) == xs.end()) {
-      xs.push_back(s.x);
-      ys.push_back(s.y);
-    }
-    if (xs.size() == k) break;
+namespace {
+
+// The first k distinct-x shares, in order of appearance.
+std::vector<Share> first_distinct(std::span<const Share> shares,
+                                  std::size_t k) {
+  if (shares.size() < k) {
+    throw CryptoError("shamir_reconstruct: too few shares");
   }
-  if (xs.size() < k) {
+  std::vector<Share> picked;
+  picked.reserve(k);
+  for (const Share& s : shares) {
+    if (std::none_of(picked.begin(), picked.end(),
+                     [&](const Share& p) { return p.x == s.x; })) {
+      picked.push_back(s);
+    }
+    if (picked.size() == k) break;
+  }
+  if (picked.size() < k) {
     throw CryptoError("shamir_reconstruct: duplicate share points");
   }
-  std::vector<Fn> weights = lagrange_at_zero(xs);
+  return picked;
+}
+
+Fn dot(std::span<const Fn> weights, std::span<const Share> shares) {
   Fn acc = Fn::zero();
-  for (std::size_t i = 0; i < k; ++i) acc = acc + weights[i] * ys[i];
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    acc = acc + weights[i] * shares[i].y;
+  }
   return acc;
+}
+
+std::vector<std::uint32_t> points_of(std::span<const Share> shares) {
+  std::vector<std::uint32_t> xs;
+  xs.reserve(shares.size());
+  for (const Share& s : shares) xs.push_back(s.x);
+  return xs;
+}
+
+}  // namespace
+
+Fn shamir_reconstruct(std::span<const Share> shares, std::size_t k) {
+  std::vector<Share> picked = first_distinct(shares, k);
+  return dot(lagrange_at_zero(points_of(picked)), picked);
+}
+
+Fn ShamirReconstructor::reconstruct(std::span<const Share> shares,
+                                    std::size_t k) {
+  std::vector<Share> picked = first_distinct(shares, k);
+  std::sort(picked.begin(), picked.end(),
+            [](const Share& a, const Share& b) { return a.x < b.x; });
+  std::vector<std::uint32_t> xs = points_of(picked);
+  auto it = weights_.find(xs);
+  if (it == weights_.end()) {
+    std::vector<Fn> w = lagrange_at_zero(xs);
+    it = weights_.emplace(std::move(xs), std::move(w)).first;
+  }
+  return dot(it->second, picked);
 }
 
 }  // namespace ddemos::crypto

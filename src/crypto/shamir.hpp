@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -32,5 +33,19 @@ std::vector<Fn> lagrange_at_zero(std::span<const std::uint32_t> xs);
 // Lagrange interpolation at 0 using the first k distinct-x shares.
 // Throws CryptoError if fewer than k shares or duplicate x values.
 Fn shamir_reconstruct(std::span<const Share> shares, std::size_t k);
+
+// shamir_reconstruct with the Lagrange weights of each set of share points
+// computed once and kept: a later reconstruction from the same points is
+// a dot product with no field inversion. Gives shamir_reconstruct's value
+// for the same shares in any order. Not thread-safe: keep one per thread
+// (or per shard) of a caller.
+class ShamirReconstructor {
+ public:
+  Fn reconstruct(std::span<const Share> shares, std::size_t k);
+
+ private:
+  // By the sorted points; weights in the same order.
+  std::map<std::vector<std::uint32_t>, std::vector<Fn>> weights_;
+};
 
 }  // namespace ddemos::crypto

@@ -651,7 +651,8 @@ void VcNode::complete_vote(Serial serial, BallotState& st) {
   shares.reserve(st.shares.size());
   for (const auto& [x, s] : st.shares) shares.push_back(s);
   crypto::Fn secret =
-      crypto::shamir_reconstruct(shares, init_.params.vc_quorum());
+      shard_slots_[shard_of_serial(serial)].receipts.reconstruct(
+          shares, init_.params.vc_quorum());
   Bytes be = secret.to_bytes_be();
   std::uint64_t receipt = 0;
   for (int i = 24; i < 32; ++i) receipt = receipt << 8 | be[static_cast<std::size_t>(i)];

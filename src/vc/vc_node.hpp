@@ -179,8 +179,11 @@ class VcNode final : public sim::ShardedProcess {
     bool ucert_formed = false;
   };
   // Cache-line padded so shards writing adjacent slots never false-share.
+  // Each shard keeps its own receipt reconstructor, so the Lagrange
+  // weights it caches (one set per quorum of share points) need no lock.
   struct alignas(64) ShardSlot {
     VcShardStats stats;
+    crypto::ShamirReconstructor receipts;
   };
 
   // --- voting protocol ---------------------------------------------------

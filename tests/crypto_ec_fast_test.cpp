@@ -123,6 +123,64 @@ TEST(EcFast, FixedBaseCombAddMulAccumulates) {
   EXPECT_TRUE(acc.is_infinity());
 }
 
+// A scalar whose w-bit windows (bits [w*i, w*i + w), bits past 255
+// dropped) are set by `digit(i)`; reduced mod n if the pattern reaches it.
+template <class F>
+Fn windows_scalar(int w, F digit) {
+  U256 v;
+  for (int i = 0; w * i < 256; ++i) {
+    std::uint64_t d = digit(i);
+    for (int b = 0; b < w && w * i + b < 256; ++b) {
+      if ((d >> b) & 1) {
+        const int bit = w * i + b;
+        v.w[bit / 64] |= std::uint64_t{1} << (bit % 64);
+      }
+    }
+  }
+  return Fn::from_u256_mod(v);
+}
+
+// The recoding corners at each width: 0, 1, n-1, n-2; runs of the digit
+// 2^(w-1) (no carry) and 2^(w-1)+1 (a carry through every window); the
+// windows that straddle a 64-bit word (none at width 8) set above
+// 2^(w-1); and a carry into the top window (the window below it all ones).
+TEST(EcFast, FixedBaseCombWidthsMatchNaive) {
+  Rng rng(723);
+  const Point base = ec_mul_naive(random_scalar(rng), ec_generator());
+  for (int w : {kKeyCombWidth, 8}) {
+    const FixedBaseComb comb(base, w);
+    ASSERT_EQ(comb.width(), w);
+    const std::uint64_t half = std::uint64_t{1} << (w - 1);
+    const int windows = (257 + w - 1) / w;
+    std::vector<Fn> ks{Fn::zero(), Fn::one(), Fn::zero() - Fn::one(),
+                       Fn::zero() - Fn::from_u64(2)};
+    ks.push_back(windows_scalar(w, [&](int) { return half; }));
+    ks.push_back(windows_scalar(w, [&](int) { return half + 1; }));
+    ks.push_back(windows_scalar(w, [&](int i) {
+      const int lo = w * i, hi = lo + w - 1;
+      return lo / 64 != hi / 64 ? half + 3 : 0;
+    }));
+    ks.push_back(windows_scalar(w, [&](int i) {
+      return i == windows - 2 ? (half << 1) - 1 : 0;
+    }));
+    ks.push_back(windows_scalar(w, [&](int i) {
+      return i >= windows - 3 ? (half << 1) - 1 : rng.below(half << 1);
+    }));
+    for (int i = 0; i < 4; ++i) ks.push_back(random_scalar(rng));
+    for (const Fn& k : ks) {
+      const Point want = ec_mul_naive(k, base);
+      EXPECT_TRUE(ec_eq(comb.mul(k), want))
+          << "w=" << w << " k=" << to_hex(k.to_bytes_be());
+      Point acc = ec_generator_h();
+      comb.add_mul(acc, k);
+      EXPECT_TRUE(ec_eq(acc, ec_add(ec_generator_h(), want)))
+          << "w=" << w << " k=" << to_hex(k.to_bytes_be());
+    }
+  }
+  EXPECT_THROW(FixedBaseComb(base, 1), CryptoError);
+  EXPECT_THROW(FixedBaseComb(base, 17), CryptoError);
+}
+
 TEST(EcFast, PedersenCommitMatchesNaive) {
   Rng rng(722);
   auto naive = [](const Fn& m, const Fn& r) {
@@ -437,6 +495,82 @@ TEST(EcFast, KeyedSchnorrVerifyMatchesBytesVerify) {
   EXPECT_TRUE(schnorr_verify(SchnorrKey::decode(kp.pk), msg, sig));
   EXPECT_FALSE(schnorr_verify(SchnorrKey::decode(other.pk), msg, sig));
   EXPECT_TRUE(schnorr_verify_batch_keyed({}));
+}
+
+// A node key (decode_schnorr_keys) carries a comb, and its verifier gives
+// the reference verdict on accepting and rejecting signatures, alone and
+// in a keyed batch of comb keys.
+TEST(EcFast, NodeKeySchnorrVerifyMatchesNaive) {
+  Rng rng(719);
+  KeyPair kp = schnorr_keygen(rng);
+  KeyPair other = schnorr_keygen(rng);
+  Bytes bad_pk = kp.pk;
+  bad_pk[0] = 0x05;
+  const std::vector<Bytes> pks{kp.pk, other.pk, bad_pk};
+  const std::vector<SchnorrKey> keys = decode_schnorr_keys(pks);
+  ASSERT_TRUE(keys[0].ok && keys[0].comb);
+  ASSERT_EQ(keys[0].comb->width(), kKeyCombWidth);
+  ASSERT_TRUE(ec_eq(keys[0].comb->base(), keys[0].point));
+  ASSERT_FALSE(keys[2].ok);
+  EXPECT_FALSE(keys[2].comb);
+
+  const Bytes msg = to_bytes("receipt endorsement");
+  const Bytes sig = schnorr_sign(kp, msg);
+  const Bytes sig2 = schnorr_sign(kp, to_bytes("another digest"));
+  Bytes s_plus_one(sig.begin(), sig.begin() + 33);
+  append(s_plus_one,
+         (Fn::from_bytes_mod(BytesView(sig).subspan(33)) + Fn::one())
+             .to_bytes_be());
+  Bytes other_r(sig2.begin(), sig2.begin() + 33);
+  append(other_r, BytesView(sig).subspan(33));
+  Bytes flipped_parity = sig;
+  flipped_parity[0] ^= 1;  // 0x02 <-> 0x03: -R
+  Bytes off_curve = sig;
+  for (std::uint8_t x = 1;; ++x) {
+    off_curve[32] = x;
+    try {
+      ec_decode(BytesView(off_curve).subspan(0, 33));
+    } catch (const CryptoError&) {
+      break;
+    }
+  }
+  Bytes long_sig = sig;
+  long_sig.push_back(0);
+
+  struct Case {
+    const char* name;
+    std::size_t key;
+    Bytes sig;
+  };
+  const std::vector<Case> cases{
+      {"valid", 0, sig},
+      {"s+1", 0, s_plus_one},
+      {"another signature's R", 0, other_r},
+      {"flipped R parity", 0, flipped_parity},
+      {"R not on the curve", 0, off_curve},
+      {"64-byte signature", 0, Bytes(sig.begin(), sig.end() - 1)},
+      {"66-byte signature", 0, long_sig},
+      {"wrong key", 1, sig},
+      {"key that did not decode", 2, sig},
+  };
+  const SchnorrKey& good = keys[1];
+  const Bytes good_sig = schnorr_sign(other, msg);
+  for (const Case& c : cases) {
+    const bool want = schnorr_verify_naive(pks[c.key], msg, c.sig);
+    EXPECT_EQ(want, std::string(c.name) == "valid") << c.name;
+    EXPECT_EQ(schnorr_verify(keys[c.key], msg, c.sig), want) << c.name;
+    EXPECT_EQ(schnorr_verify(SchnorrKey::decode(pks[c.key]), msg, c.sig),
+              want)
+        << c.name;
+    // Beside two valid instances on comb keys, the batch is exactly as
+    // valid as the case, wherever the case stands.
+    const SchnorrKeyedInstance x{&keys[c.key], msg, c.sig};
+    const SchnorrKeyedInstance ok{&good, msg, good_sig};
+    const std::vector<SchnorrKeyedInstance> first{x, ok, ok};
+    const std::vector<SchnorrKeyedInstance> last{ok, ok, x};
+    EXPECT_EQ(schnorr_verify_batch_keyed(first), want) << c.name;
+    EXPECT_EQ(schnorr_verify_batch_keyed(last), want) << c.name;
+  }
 }
 
 // Ucert validation before the batch: one check per signature, in order,

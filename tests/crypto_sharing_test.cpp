@@ -100,6 +100,47 @@ TEST(Shamir, DuplicateSharePointsRejected) {
   EXPECT_THROW(shamir_reconstruct(dup, 3), CryptoError);
 }
 
+// A collector's receipt reconstruction: n = 4 collectors, quorum 3, the
+// weights of each share-point set cached across casts. For every 3-of-4
+// subset in every arrival order (and with the fourth share arriving last),
+// one reconstructor gives shamir_reconstruct's value for the same shares,
+// also when a share is corrupt (interpolation is then still exact).
+TEST(Shamir, CachedReconstructorMatchesReconstructInEveryOrder) {
+  Rng rng(48);
+  constexpr std::size_t kK = 3, kN = 4;
+  ShamirReconstructor cached;
+  for (int receipt = 0; receipt < 3; ++receipt) {
+    const Fn secret = random_scalar(rng);
+    std::vector<Share> dealt = shamir_deal(secret, kK, kN, rng);
+    if (receipt == 2) dealt[1].y = dealt[1].y + Fn::one();
+    for (std::size_t left_out = 0; left_out < kN; ++left_out) {
+      std::vector<Share> subset;
+      for (std::size_t i = 0; i < kN; ++i) {
+        if (i != left_out) subset.push_back(dealt[i]);
+      }
+      std::sort(subset.begin(), subset.end(),
+                [](const Share& a, const Share& b) { return a.x < b.x; });
+      do {
+        const Fn want = shamir_reconstruct(subset, kK);
+        if (receipt < 2) {
+          EXPECT_EQ(want, secret);
+        }
+        EXPECT_EQ(cached.reconstruct(subset, kK), want);
+        std::vector<Share> all = subset;
+        all.push_back(dealt[left_out]);
+        EXPECT_EQ(cached.reconstruct(all, kK), want);
+      } while (std::next_permutation(
+          subset.begin(), subset.end(),
+          [](const Share& a, const Share& b) { return a.x < b.x; }));
+    }
+  }
+  std::vector<Share> dup = {Share{1, Fn::one()}, Share{1, Fn::one()},
+                            Share{2, Fn::one()}};
+  EXPECT_THROW(cached.reconstruct(dup, kK), CryptoError);
+  dup.resize(2);
+  EXPECT_THROW(cached.reconstruct(dup, kK), CryptoError);
+}
+
 TEST(Shamir, BadParamsThrow) {
   Rng rng(44);
   EXPECT_THROW(shamir_deal(Fn::one(), 0, 5, rng), CryptoError);
