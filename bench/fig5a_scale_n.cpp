@@ -14,6 +14,8 @@
 //     wall-clock throughput (bounded by the host's core count).
 // Every BENCH_JSON line carries a "shards" field for the perf-trajectory
 // artifact.
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 
@@ -26,7 +28,10 @@ int main() {
   std::size_t step = env_size("DDEMOS_FIG5A_STEP", 40'000);
   std::size_t casts = env_size("DDEMOS_BENCH_CASTS", 400);
   std::size_t max_shards = env_size("DDEMOS_FIG5A_MAX_SHARDS", 8);
-  std::string dir = "/tmp/ddemos_fig5a";
+  // Per process, so concurrent runs never share ballot files.
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("ddemos_fig5a_" + std::to_string(::getpid())))
+                        .string();
   std::filesystem::create_directories(dir);
 
   std::printf("# fig5a: throughput (ops/sec) vs n, disk-backed ballots\n");

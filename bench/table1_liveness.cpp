@@ -47,7 +47,8 @@ int main() {
 
     // Tcomp: worst-case per-step computation, priced by the simulator's
     // cost table. The heaviest procedure is verifying Nv-1 endorsement
-    // signatures plus one signing operation, on top of decoding a message.
+    // signatures (kSchnorrVerify, the one price of every signature check)
+    // plus one signing operation, on top of decoding a message.
     const sim::Duration tcomp_us =
         static_cast<sim::Duration>(nv - 1) * sim::cost::kSchnorrVerify +
         sim::cost::kSchnorrSign + sim::cost::kVcMessage;

@@ -26,18 +26,6 @@ std::uint64_t scalar_to_u64(const crypto::Fn& s) {
   return v;
 }
 
-// Combined check over a trustee's tally shares: one random-linear-
-// combination MSM covers every share; on failure the per-instance verifier
-// re-runs so a message with any bad share is rejected.
-bool verify_vss_instances(
-    const std::vector<crypto::PedersenVssInstance>& insts) {
-  if (crypto::pedersen_vss_verify_batch(insts)) return true;
-  return std::all_of(insts.begin(), insts.end(),
-                     [](const crypto::PedersenVssInstance& i) {
-                       return crypto::pedersen_vss_verify(i.share, i.comms);
-                     });
-}
-
 // The part whose ZK proofs the trustees complete; the others are opened.
 bool is_used(const PublishedBallot& pb, std::size_t part) {
   return pb.voted && pb.used_part == part;
@@ -522,8 +510,8 @@ void BbNode::maybe_publish_result() {
     first = false;
   }
 
-  // Verify each trustee's total shares (one batched MSM per trustee, the
-  // per-share fallback attributing any failure), keep ht valid ones.
+  // Verify each trustee's total shares (one batched MSM per trustee, which
+  // fails if any share is bad), keep ht valid ones.
   std::vector<const TrusteeTallyMsg*> valid;
   for (const auto& [tidx, msg] : trustee_tally_data_) {
     std::vector<crypto::PedersenVssInstance> insts;
@@ -532,7 +520,7 @@ void BbNode::maybe_publish_result() {
       insts.push_back({msg.totals[j].first, m_comms[j]});
       insts.push_back({msg.totals[j].second, r_comms[j]});
     }
-    if (verify_vss_instances(insts)) valid.push_back(&msg);
+    if (crypto::pedersen_vss_verify_batch(insts)) valid.push_back(&msg);
     if (valid.size() == ht) break;
   }
   if (valid.size() < ht) return;

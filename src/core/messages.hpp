@@ -100,14 +100,15 @@ struct Ucert {
   void encode(Writer& w) const;
   static Ucert decode(Reader& r);
   // Validates threshold-many correct signatures from distinct nodes (a
-  // node index in range of vc_keys). One batch checks the first
-  // `threshold` distinct in-range signatures; if it fails, the signatures
-  // are checked one by one in order, so a forged signature among more than
-  // `threshold` cannot spoil a certificate that holds enough good ones.
-  // `single_checks`, when given, grows by the per-signature checks made.
+  // node index in range of vc_keys). The signatures are checked in order,
+  // skipping signers that already verified and stopping at the threshold,
+  // so a forged signature among more than `threshold` cannot spoil a
+  // certificate that holds enough good ones. No signature is checked when
+  // fewer than `threshold` distinct signers are in range. `checks`, when
+  // given, grows by the signature checks made.
   bool valid(BytesView election_id, Serial serial,
              std::span<const crypto::SchnorrKey> vc_keys, std::size_t threshold,
-             std::size_t* single_checks = nullptr) const;
+             std::size_t* checks = nullptr) const;
 };
 
 struct VotePMsg {

@@ -46,20 +46,6 @@ void absorb_scalar(Sha256& h, const Fn& s) { h.update(s.to_bytes_be()); }
 
 void absorb_point(Sha256& h, const Point& p) { h.update(ec_encode(p)); }
 
-bool schnorr_batch_one(std::span<const SchnorrInstance> xs) {
-  std::vector<SchnorrKey> keys;
-  keys.reserve(xs.size());
-  std::vector<SchnorrKeyedInstance> keyed;
-  keyed.reserve(xs.size());
-  for (const SchnorrInstance& x : xs) {
-    keys.push_back(SchnorrKey::decode(x.pk));
-  }
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    keyed.push_back(SchnorrKeyedInstance{&keys[i], xs[i].msg, xs[i].sig});
-  }
-  return schnorr_verify_batch_keyed(keyed);
-}
-
 bool bit_batch_one(const Point& key, std::span<const BitProofInstance> xs) {
   if (xs.empty()) return true;
   // The challenge-splitting constraint is exact per instance.
@@ -161,58 +147,6 @@ bool sum_batch_one(const Point& key, std::span<const SumProofInstance> xs) {
   return ec_msm(ks, ps).is_infinity();
 }
 
-bool pvss_batch_one(std::span<const PedersenVssInstance> xs) {
-  if (xs.empty()) return true;
-  std::size_t comm_terms = 0;
-  for (const PedersenVssInstance& x : xs) {
-    // The per-instance verifier rejects an empty commitment vector; so
-    // must the combined check (a zero contribution would accept it).
-    if (x.comms.empty()) return false;
-    comm_terms += x.comms.size();
-  }
-  Sha256 seed;
-  seed.update(to_bytes("ddemos/batch/pvss"));
-  for (const PedersenVssInstance& x : xs) {
-    std::uint8_t idx[4];
-    for (int i = 0; i < 4; ++i) {
-      idx[i] = static_cast<std::uint8_t>(x.share.x >> (8 * i));
-    }
-    seed.update(BytesView(idx, 4));
-    absorb_scalar(seed, x.share.f);
-    absorb_scalar(seed, x.share.g);
-    for (const Point& c : x.comms) absorb_point(seed, c);
-  }
-  WeightStream ws(seed.finish());
-
-  // Sum over instances of w*(f*G + g*H - sum_j x^j C_j) == 0: G and H each
-  // collect one combined scalar, every coefficient commitment contributes
-  // one w*x^j term (x is a small trustee index, but w*x^j is full-size —
-  // the weights dominate the extra MSM work per instance).
-  std::vector<Fn> ks;
-  std::vector<Point> ps;
-  ks.reserve(comm_terms + 2);
-  ps.reserve(comm_terms + 2);
-  Fn g_coeff = Fn::zero();
-  Fn h_coeff = Fn::zero();
-  for (const PedersenVssInstance& x : xs) {
-    Fn w = ws.next();
-    g_coeff = g_coeff + w * x.share.f;
-    h_coeff = h_coeff + w * x.share.g;
-    Fn xi = Fn::from_u64(x.share.x);
-    Fn xp = w;
-    for (const Point& c : x.comms) {
-      ks.push_back(xp);
-      ps.push_back(ec_neg(c));
-      xp = xp * xi;
-    }
-  }
-  ks.push_back(g_coeff);
-  ps.push_back(ec_generator());
-  ks.push_back(h_coeff);
-  ps.push_back(ec_generator_h());
-  return ec_msm(ks, ps).is_infinity();
-}
-
 bool open_batch_one(const Point& key, std::span<const EgOpenInstance> xs) {
   if (xs.empty()) return true;
   Sha256 seed;
@@ -271,25 +205,14 @@ bool chunked_batch(std::span<const Inst> xs, util::ThreadPool* pool,
 
 }  // namespace
 
-bool schnorr_verify_batch_keyed(std::span<const SchnorrKeyedInstance> xs) {
+bool schnorr_verify_batch(std::span<const SchnorrInstance> xs) {
   if (xs.empty()) return true;
   // One instance: the plain check is the same equation without a weight.
-  if (xs.size() == 1) return schnorr_verify(*xs[0].key, xs[0].msg, xs[0].sig);
-  // Against comb-carrying keys a check is two fixed-base products, which
-  // at a UCERT's batch of three costs less than one folded MSM with its
-  // doubling ladder and per-key tables.
-  auto has_comb = [](const SchnorrKeyedInstance& x) {
-    return x.key->comb != nullptr;
-  };
-  if (std::all_of(xs.begin(), xs.end(), has_comb)) {
-    return std::all_of(xs.begin(), xs.end(), [](const auto& x) {
-      return schnorr_verify(*x.key, x.msg, x.sig);
-    });
-  }
+  if (xs.size() == 1) return schnorr_verify(xs[0].pk, xs[0].msg, xs[0].sig);
   Sha256 seed;
   seed.update(to_bytes("ddemos/batch/schnorr"));
-  for (const SchnorrKeyedInstance& x : xs) {
-    seed.update(x.key->enc);
+  for (const SchnorrInstance& x : xs) {
+    seed.update(x.pk);
     seed.update(x.msg);
     seed.update(x.sig);
   }
@@ -301,18 +224,20 @@ bool schnorr_verify_batch_keyed(std::span<const SchnorrKeyedInstance> xs) {
   ps.reserve(2 * xs.size() + 1);
   Fn g_coeff = Fn::zero();
   try {
-    for (const SchnorrKeyedInstance& x : xs) {
-      if (!x.key->ok || x.sig.size() != 65) return false;
-      Point r = ec_decode(x.sig.subspan(0, 33));
-      Fn s = Fn::from_bytes_mod(x.sig.subspan(33));
-      Fn e = schnorr_challenge(x.sig.subspan(0, 33), x.key->enc, x.msg);
+    for (const SchnorrInstance& x : xs) {
+      BytesView sig = x.sig;
+      if (sig.size() != 65) return false;
+      Point p = ec_decode(x.pk);
+      Point r = ec_decode(sig.subspan(0, 33));
+      Fn s = Fn::from_bytes_mod(sig.subspan(33));
+      Fn e = schnorr_challenge(sig.subspan(0, 33), x.pk, x.msg);
       // w*(s*G - R - e*P) summed over the batch.
       Fn w = ws.next();
       g_coeff = g_coeff + w * s;
       ks.push_back(w);
       ps.push_back(ec_neg(r));
       ks.push_back(w * e);
-      ps.push_back(ec_neg(x.key->point));
+      ps.push_back(ec_neg(p));
     }
   } catch (const CryptoError&) {
     return false;
@@ -320,13 +245,6 @@ bool schnorr_verify_batch_keyed(std::span<const SchnorrKeyedInstance> xs) {
   ks.push_back(g_coeff);
   ps.push_back(ec_generator());
   return ec_msm(ks, ps).is_infinity();
-}
-
-bool schnorr_verify_batch(std::span<const SchnorrInstance> xs,
-                          util::ThreadPool* pool) {
-  return chunked_batch(xs, pool, [](std::span<const SchnorrInstance> c) {
-    return schnorr_batch_one(c);
-  });
 }
 
 bool verify_bit_batch(const Point& key, std::span<const BitProofInstance> xs,
@@ -343,11 +261,56 @@ bool verify_sum_batch(const Point& key, std::span<const SumProofInstance> xs,
   });
 }
 
-bool pedersen_vss_verify_batch(std::span<const PedersenVssInstance> xs,
-                               util::ThreadPool* pool) {
-  return chunked_batch(xs, pool, [](std::span<const PedersenVssInstance> c) {
-    return pvss_batch_one(c);
-  });
+bool pedersen_vss_verify_batch(std::span<const PedersenVssInstance> xs) {
+  if (xs.empty()) return true;
+  std::size_t comm_terms = 0;
+  for (const PedersenVssInstance& x : xs) {
+    // The per-instance verifier rejects an empty commitment vector; so
+    // must the combined check (a zero contribution would accept it).
+    if (x.comms.empty()) return false;
+    comm_terms += x.comms.size();
+  }
+  Sha256 seed;
+  seed.update(to_bytes("ddemos/batch/pvss"));
+  for (const PedersenVssInstance& x : xs) {
+    std::uint8_t idx[4];
+    for (int i = 0; i < 4; ++i) {
+      idx[i] = static_cast<std::uint8_t>(x.share.x >> (8 * i));
+    }
+    seed.update(BytesView(idx, 4));
+    absorb_scalar(seed, x.share.f);
+    absorb_scalar(seed, x.share.g);
+    for (const Point& c : x.comms) absorb_point(seed, c);
+  }
+  WeightStream ws(seed.finish());
+
+  // Sum over instances of w*(f*G + g*H - sum_j x^j C_j) == 0: G and H each
+  // collect one combined scalar, every coefficient commitment contributes
+  // one w*x^j term (x is a small trustee index, but w*x^j is full-size —
+  // the weights dominate the extra MSM work per instance).
+  std::vector<Fn> ks;
+  std::vector<Point> ps;
+  ks.reserve(comm_terms + 2);
+  ps.reserve(comm_terms + 2);
+  Fn g_coeff = Fn::zero();
+  Fn h_coeff = Fn::zero();
+  for (const PedersenVssInstance& x : xs) {
+    Fn w = ws.next();
+    g_coeff = g_coeff + w * x.share.f;
+    h_coeff = h_coeff + w * x.share.g;
+    Fn xi = Fn::from_u64(x.share.x);
+    Fn xp = w;
+    for (const Point& c : x.comms) {
+      ks.push_back(xp);
+      ps.push_back(ec_neg(c));
+      xp = xp * xi;
+    }
+  }
+  ks.push_back(g_coeff);
+  ps.push_back(ec_generator());
+  ks.push_back(h_coeff);
+  ps.push_back(ec_generator_h());
+  return ec_msm(ks, ps).is_infinity();
 }
 
 bool pedersen_vss_verify_folded(BytesView context, const Fn& c,

@@ -5,15 +5,14 @@
 // full instance set (the canonical encodings of every point and scalar),
 // so a prover committed to its instances cannot steer them.
 //
-// Callers use these on the audit fast path: if the combined check passes,
-// every instance is valid; on failure they fall back to the per-instance
-// verifiers to attribute blame. Empty batches verify trivially.
-// Every verifier also has a chunked parallel form: pass a ThreadPool and
-// the instance set splits into fixed-size chunks (boundaries independent
-// of the worker count, so results are reproducible at any thread count),
-// each chunk deriving its own Fiat-Shamir weights and running its own MSM
-// on the pool. The per-instance fallback path for blame attribution is
-// unchanged — callers still re-verify instance by instance on failure.
+// A batch passes only if every instance is valid, so a caller that needs
+// to know which instance failed re-checks them one by one. Empty batches
+// verify trivially. The three audit verifiers (bit, sum, opening) also
+// have a chunked parallel form: pass a ThreadPool and the instance set
+// splits into fixed-size chunks (boundaries independent of the worker
+// count, so results are reproducible at any thread count), each chunk
+// deriving its own Fiat-Shamir weights and running its own MSM on the
+// pool.
 #pragma once
 
 #include <span>
@@ -29,22 +28,13 @@ class ThreadPool;
 
 namespace ddemos::crypto {
 
-// The keyed core: each instance names a verifier key decoded once
-// (schnorr.hpp); the views must outlive the call. A key that did not
-// decode fails the whole batch. When every key carries a comb, the
-// instances are checked one by one on their combs instead of folded.
-struct SchnorrKeyedInstance {
-  const SchnorrKey* key = nullptr;
-  BytesView msg, sig;
-};
-bool schnorr_verify_batch_keyed(std::span<const SchnorrKeyedInstance> xs);
-
-// Decodes every pk and delegates to the keyed core, chunk by chunk.
+// Folds every signature into one MSM, decoding each pk. For keys without a
+// comb: a node key (decode_schnorr_keys) is cheaper to check one signature
+// at a time with schnorr_verify (schnorr.hpp).
 struct SchnorrInstance {
   Bytes pk, msg, sig;
 };
-bool schnorr_verify_batch(std::span<const SchnorrInstance> xs,
-                          util::ThreadPool* pool = nullptr);
+bool schnorr_verify_batch(std::span<const SchnorrInstance> xs);
 
 struct BitProofInstance {
   ElGamalCipher cipher;
@@ -86,10 +76,8 @@ struct PedersenVssInstance {
 // fold into one MSM with a single combined G and H term plus one
 // w_i*x_i^j term per coefficient commitment. Matches the per-instance
 // verifier's rejection of an empty commitment vector (whole batch fails).
-// Used by the BB nodes' trustee-message verification; callers fall back to
-// pedersen_vss_verify per instance on failure to attribute blame.
-bool pedersen_vss_verify_batch(std::span<const PedersenVssInstance> xs,
-                               util::ThreadPool* pool = nullptr);
+// Used by the BB nodes' trustee-message verification.
+bool pedersen_vss_verify_batch(std::span<const PedersenVssInstance> xs);
 
 // A commitment polynomial that several share holders' shares are checked
 // against: coefficient t commits as u[t] + c*v[t], with c the scalar

@@ -14,14 +14,15 @@
 namespace ddemos::sim::cost {
 
 // Schnorr, from BENCH_21.json `traced_change_cast_rush`:
-// crypto.schnorr_sign_us 74.9, crypto.schnorr_verify_batch_us 119.3 (per
-// signature of a keyed batch), crypto.schnorr_verify_us 163.6.
+// crypto.schnorr_sign_us 74.9 and crypto.schnorr_verify_batch_us 119.3 per
+// signature, the figure that the VC message price below is derived with.
+// One price serves every signature check, the BBs' trustee-signature
+// checks included.
 inline constexpr Duration kSchnorrSign = 75;
-inline constexpr Duration kSchnorrBatchPerSig = 119;
-inline constexpr Duration kSchnorrVerify = 164;
+inline constexpr Duration kSchnorrVerify = 119;
 
 // Decode and dispatch of one VC message, from the same row: the VC busy
-// time per receipt less its Schnorr work (4 signs, 12 batched checks),
+// time per receipt less its Schnorr work (4 signs, 12 checks),
 // over the handler calls per receipt:
 // (2437.6 - 4 * 74.9 - 12 * 119.3) / 24.99 = 28.3.
 inline constexpr Duration kVcMessage = 28;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/batch.hpp"
 #include "crypto/commit.hpp"
 #include "crypto/schnorr.hpp"
 #include "ea/ea.hpp"
@@ -322,21 +321,16 @@ bool VcNode::verify_receipt_share(const VcBallotInit& ballot,
 }
 
 bool VcNode::verify_ucert(Serial serial, const Ucert& ucert) {
-  VcShardStats& ss = stats_for(serial);
-  ++ss.signature_batches;
-  std::size_t singles = 0;
+  std::size_t checks = 0;
   bool ok = ucert.valid(init_.params.election_id, serial, vc_keys_,
-                        init_.params.vc_quorum(), &singles);
-  ss.signature_checks += singles;
-  charge_signature_checks(init_.params.vc_quorum(), singles);
+                        init_.params.vc_quorum(), &checks);
+  charge_signature_checks(serial, checks);
   return ok;
 }
 
-void VcNode::charge_signature_checks(std::size_t batched,
-                                     std::size_t singles) {
-  ctx().charge(sim::cost::kSchnorrBatchPerSig *
-                   static_cast<sim::Duration>(batched) +
-               sim::cost::kSchnorrVerify * static_cast<sim::Duration>(singles));
+void VcNode::charge_signature_checks(Serial serial, std::size_t n) {
+  stats_for(serial).signature_checks += n;
+  ctx().charge(sim::cost::kSchnorrVerify * static_cast<sim::Duration>(n));
 }
 
 Bytes VcNode::sign_endorsement(Serial serial, BytesView code) {
@@ -516,11 +510,21 @@ void VcNode::handle_endorsement(NodeId from, Reader& r) {
   EndorseState& es = endorse_states_[*inst];
   if (!es.active || es.ucert_formed) return;
   if (es.code != m.vote_code) return;
-  Endorsement& e = es.sigs[m.node_index];
-  // A failed signer is not checked again; a good one has nothing to add.
-  if (e.check != SigCheck::kUnchecked) return;
-  e.sig = std::move(m.signature);
-  if (!endorsement_quorum(m.serial, es)) return;
+  auto [it, fresh] = es.sigs.try_emplace(m.node_index);
+  // A signer is checked once: a good one has nothing to add, and a failed
+  // one keeps its empty entry.
+  if (!fresh) return;
+  charge_signature_checks(m.serial, 1);
+  if (!crypto::schnorr_verify(
+          vc_keys_[m.node_index],
+          endorsement_digest(init_.params.election_id, m.serial, es.code),
+          m.signature)) {
+    return;
+  }
+  it->second = std::move(m.signature);
+  std::size_t good = 0;
+  for (const auto& [idx, sig] : es.sigs) good += !sig.empty();
+  if (good < init_.params.vc_quorum()) return;
 
   // UCERT formed: mark pending and disclose our receipt share.
   es.ucert_formed = true;
@@ -533,46 +537,12 @@ void VcNode::handle_endorsement(NodeId from, Reader& r) {
   }
   st.ucert.vote_code = es.code;
   st.ucert.signatures.clear();
-  for (auto& [idx, e] : es.sigs) {
-    if (e.check == SigCheck::kGood) {
-      st.ucert.signatures.emplace_back(idx, std::move(e.sig));
-    }
+  for (auto& [idx, sig] : es.sigs) {
+    if (!sig.empty()) st.ucert.signatures.emplace_back(idx, std::move(sig));
   }
   es.sigs.clear();  // ucert_formed stops every later endorsement
   wal_log_ucert(*inst, st);
   send_own_vote_p(m.serial, st);
-}
-
-bool VcNode::endorsement_quorum(Serial serial, EndorseState& es) {
-  const std::size_t quorum = init_.params.vc_quorum();
-  std::size_t live = 0;
-  for (const auto& [idx, e] : es.sigs) live += e.check != SigCheck::kBad;
-  if (live < quorum) return false;
-  VcShardStats& ss = stats_for(serial);
-  ++ss.signature_batches;
-  Bytes digest = endorsement_digest(init_.params.election_id, serial, es.code);
-  std::vector<Endorsement*> pending;
-  std::vector<crypto::SchnorrKeyedInstance> batch;
-  for (auto& [idx, e] : es.sigs) {
-    if (e.check != SigCheck::kUnchecked) continue;
-    pending.push_back(&e);
-    batch.push_back({&vc_keys_[idx], digest, e.sig});
-  }
-  bool all_good = crypto::schnorr_verify_batch_keyed(batch);
-  std::size_t good = live - pending.size();
-  std::size_t singles = 0;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    bool ok = all_good;
-    if (!ok) {
-      ++singles;
-      ok = crypto::schnorr_verify(*batch[i].key, digest, batch[i].sig);
-    }
-    pending[i]->check = ok ? SigCheck::kGood : SigCheck::kBad;
-    good += ok;
-  }
-  ss.signature_checks += singles;
-  charge_signature_checks(pending.size(), singles);
-  return good >= quorum;
 }
 
 void VcNode::send_own_vote_p(Serial serial, BallotState& st) {

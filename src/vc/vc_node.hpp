@@ -86,9 +86,7 @@ struct VcShardStats {
   std::uint64_t receipts_issued = 0;
   std::uint64_t rejected_votes = 0;
   std::uint64_t endorsements_signed = 0;
-  // Signature work: one batch per endorsement quorum and per UCERT
-  // checked, and one single check per signature of a failed batch.
-  std::uint64_t signature_batches = 0;
+  // Signature checks: one per endorsement and per UCERT signature checked.
   std::uint64_t signature_checks = 0;
   std::uint64_t queue_high_water = 0;
 };
@@ -162,20 +160,14 @@ class VcNode final : public sim::ShardedProcess {
     bool vote_p_sent = false;
     std::vector<sim::NodeId> waiters;  // voters awaiting the receipt
   };
-  enum class SigCheck : std::uint8_t { kUnchecked, kGood, kBad };
-  struct Endorsement {
-    SigCheck check = SigCheck::kUnchecked;
-    Bytes sig;
-  };
   struct EndorseState {
     bool active = false;  // dense storage: slot in use
     Bytes code;
     std::uint8_t part = 0;
     std::uint32_t line = 0;
-    // By signer index. Endorsements wait unchecked until a quorum of them
-    // is in hand and are then checked in one batch; a signer whose
-    // endorsement failed stays kBad and is not checked again.
-    std::map<std::uint32_t, Endorsement> sigs;
+    // By signer index, each checked on arrival. An empty signature marks
+    // a signer whose endorsement failed; it is not checked again.
+    std::map<std::uint32_t, Bytes> sigs;
     bool ucert_formed = false;
   };
   // Cache-line padded so shards writing adjacent slots never false-share.
@@ -191,9 +183,6 @@ class VcNode final : public sim::ShardedProcess {
   void handle_endorse(sim::NodeId from, Reader& r);
   void handle_endorsement(sim::NodeId from, Reader& r);
   void handle_vote_p(sim::NodeId from, Reader& r);
-  // Checks the unchecked endorsements once a quorum of not-bad ones is
-  // held; true when a quorum of them is good.
-  bool endorsement_quorum(core::Serial serial, EndorseState& es);
   void send_own_vote_p(core::Serial serial, BallotState& st);
   void complete_vote(core::Serial serial, BallotState& st);
 
@@ -252,9 +241,9 @@ class VcNode final : public sim::ShardedProcess {
                             const crypto::Share& share,
                             std::span<const crypto::Hash32> path);
   bool verify_ucert(core::Serial serial, const core::Ucert& ucert);
-  // Charges the cost table's price of `batched` signatures checked in one
-  // batch plus `singles` checked alone.
-  void charge_signature_checks(std::size_t batched, std::size_t singles);
+  // Counts `n` signature checks for the serial's shard and charges the
+  // cost table's price of each.
+  void charge_signature_checks(core::Serial serial, std::size_t n);
   Bytes sign_endorsement(core::Serial serial, BytesView code);
   // Dense ballot index for a registered serial (nullopt if unknown); O(1)
   // because serials are contiguous (checked at construction).

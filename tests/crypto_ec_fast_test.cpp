@@ -436,7 +436,8 @@ TEST(EcFast, SchnorrVerifierMatchesNaive) {
 
 TEST(EcFast, KeyedSchnorrVerifyMatchesBytesVerify) {
   // The decoded-once key must give schnorr_verify's verdict on every
-  // input, accepting and rejecting, alone and as a keyed batch.
+  // input, accepting and rejecting, as must the folded batch, alone and
+  // beside a valid instance.
   Rng rng(717);
   KeyPair kp = schnorr_keygen(rng);
   KeyPair other = schnorr_keygen(rng);
@@ -483,23 +484,19 @@ TEST(EcFast, KeyedSchnorrVerifyMatchesBytesVerify) {
     SchnorrKey key = SchnorrKey::decode(c.pk);
     bool want = schnorr_verify(BytesView(c.pk), c.msg, c.sig);
     EXPECT_EQ(schnorr_verify(key, c.msg, c.sig), want) << c.name;
-    SchnorrKeyedInstance one{&key, c.msg, c.sig};
-    EXPECT_EQ(schnorr_verify_batch_keyed({&one, 1}), want) << c.name;
-    // Beside a valid instance the batch is exactly as valid as the case.
-    SchnorrKey good_key = SchnorrKey::decode(kp.pk);
-    std::vector<SchnorrKeyedInstance> two{{&good_key, msg, sig}, one};
-    EXPECT_EQ(schnorr_verify_batch_keyed(two), want) << c.name;
     SchnorrInstance inst{c.pk, c.msg, c.sig};
     EXPECT_EQ(schnorr_verify_batch({&inst, 1}), want) << c.name;
+    // Beside a valid instance the folded batch is exactly as valid as the
+    // case.
+    const std::vector<SchnorrInstance> two{{kp.pk, msg, sig}, inst};
+    EXPECT_EQ(schnorr_verify_batch(two), want) << c.name;
   }
   EXPECT_TRUE(schnorr_verify(SchnorrKey::decode(kp.pk), msg, sig));
   EXPECT_FALSE(schnorr_verify(SchnorrKey::decode(other.pk), msg, sig));
-  EXPECT_TRUE(schnorr_verify_batch_keyed({}));
 }
 
 // A node key (decode_schnorr_keys) carries a comb, and its verifier gives
-// the reference verdict on accepting and rejecting signatures, alone and
-// in a keyed batch of comb keys.
+// the reference verdict on accepting and rejecting signatures.
 TEST(EcFast, NodeKeySchnorrVerifyMatchesNaive) {
   Rng rng(719);
   KeyPair kp = schnorr_keygen(rng);
@@ -553,8 +550,6 @@ TEST(EcFast, NodeKeySchnorrVerifyMatchesNaive) {
       {"wrong key", 1, sig},
       {"key that did not decode", 2, sig},
   };
-  const SchnorrKey& good = keys[1];
-  const Bytes good_sig = schnorr_sign(other, msg);
   for (const Case& c : cases) {
     const bool want = schnorr_verify_naive(pks[c.key], msg, c.sig);
     EXPECT_EQ(want, std::string(c.name) == "valid") << c.name;
@@ -562,19 +557,11 @@ TEST(EcFast, NodeKeySchnorrVerifyMatchesNaive) {
     EXPECT_EQ(schnorr_verify(SchnorrKey::decode(pks[c.key]), msg, c.sig),
               want)
         << c.name;
-    // Beside two valid instances on comb keys, the batch is exactly as
-    // valid as the case, wherever the case stands.
-    const SchnorrKeyedInstance x{&keys[c.key], msg, c.sig};
-    const SchnorrKeyedInstance ok{&good, msg, good_sig};
-    const std::vector<SchnorrKeyedInstance> first{x, ok, ok};
-    const std::vector<SchnorrKeyedInstance> last{ok, ok, x};
-    EXPECT_EQ(schnorr_verify_batch_keyed(first), want) << c.name;
-    EXPECT_EQ(schnorr_verify_batch_keyed(last), want) << c.name;
   }
 }
 
-// Ucert validation before the batch: one check per signature, in order,
-// against keys decoded on every call.
+// Reference Ucert validation: one check per signature, in order, against
+// keys decoded on every call, with no cheap rejection.
 bool ucert_valid_per_signature(const core::Ucert& u, BytesView election_id,
                                core::Serial serial,
                                const std::vector<Bytes>& pks,
@@ -610,8 +597,10 @@ TEST(EcFast, UcertBatchKeepsPerSignatureVerdicts) {
   }
   Bytes forged = schnorr_sign(kps[3].sk, to_bytes("another digest"));
 
-  // The cases of the protocol's UCERT rules, plus forgeries that a batch
-  // must not let through or hold against a certificate.
+  // The cases of the protocol's UCERT rules, plus forgeries that must not
+  // get through or spoil a certificate. Each signature is checked at most
+  // once, none past the threshold, and none when too few distinct signers
+  // are in range.
   core::Ucert dup = u;
   dup.signatures.pop_back();
   dup.signatures.push_back(dup.signatures[0]);
@@ -632,26 +621,26 @@ TEST(EcFast, UcertBatchKeepsPerSignatureVerdicts) {
     const core::Ucert& cert;
     core::Serial serial;
     bool want;
-    bool fallback;  // the batch fails and per-signature checks run
+    std::size_t checks;  // signature checks made
   };
   const Case cases[] = {
-      {"quorum", u, serial, true, false},
-      {"duplicate signer", dup, serial, false, false},
-      {"other serial", u, serial + 1, false, true},
-      {"out-of-range index", oob, serial, false, false},
-      {"4 signatures, first forged", four_first_forged, serial, true, true},
-      {"4 signatures, last forged", four_last_forged, serial, true, false},
-      {"2 of 4 forged", two_forged, serial, false, true},
-      {"forged then good copy", forged_then_good, serial, true, true},
+      {"quorum", u, serial, true, 3},
+      {"duplicate signer", dup, serial, false, 0},
+      {"other serial", u, serial + 1, false, 3},
+      {"out-of-range index", oob, serial, false, 0},
+      {"4 signatures, first forged", four_first_forged, serial, true, 4},
+      {"4 signatures, last forged", four_last_forged, serial, true, 3},
+      {"2 of 4 forged", two_forged, serial, false, 4},
+      {"forged then good copy", forged_then_good, serial, true, 4},
   };
   for (const Case& c : cases) {
     EXPECT_EQ(ucert_valid_per_signature(c.cert, eid, c.serial, pks, 3),
               c.want)
         << c.name;
-    std::size_t singles = 0;
-    EXPECT_EQ(c.cert.valid(eid, c.serial, keys, 3, &singles), c.want)
+    std::size_t checks = 0;
+    EXPECT_EQ(c.cert.valid(eid, c.serial, keys, 3, &checks), c.want)
         << c.name;
-    EXPECT_EQ(singles > 0, c.fallback) << c.name;
+    EXPECT_EQ(checks, c.checks) << c.name;
   }
 }
 

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -69,7 +70,9 @@ TEST(MemorySource, RejectsUnsorted) {
 class DiskSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/ddemos_store_test";
+    // Per process, so concurrent runs of this binary share no files.
+    dir_ = std::string(::testing::TempDir()) + "ddemos_store_test_" +
+           std::to_string(::getpid());
     std::filesystem::create_directories(dir_);
     path_ = dir_ + "/test.ballots";
   }
@@ -223,7 +226,7 @@ TEST_F(DiskSourceTest, RejectsCorruptHeader) {
 }
 
 TEST_F(DiskSourceTest, MissingFileThrows) {
-  EXPECT_THROW(DiskBallotSource{"/tmp/no/such/file"}, ProtocolError);
+  EXPECT_THROW(DiskBallotSource{dir_ + "/no/such/file"}, ProtocolError);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // handling in the expected tally, closed-loop completion, disk-trace
 // replay, and the O(1)-memory configuration of a million-slot election.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -13,6 +14,13 @@
 
 namespace ddemos::core {
 namespace {
+
+// A per-process path in the test temp directory, so concurrent runs of
+// this binary share no files.
+std::string temp_path(const std::string& name) {
+  return std::string(::testing::TempDir()) + "ddemos_workload_" +
+         std::to_string(::getpid()) + "_" + name;
+}
 
 ElectionParams tiny_params(std::size_t voters, std::size_t options = 2) {
   ElectionParams p;
@@ -172,7 +180,7 @@ TEST(Workload, ClosedLoopCountsWrongReceiptAsRejected) {
 }
 
 TEST(Workload, DiskTraceRoundTripDrivesElection) {
-  std::string path = "/tmp/ddemos_workload_trace_small.bin";
+  std::string path = temp_path("trace_small.bin");
   {
     DiskTraceWorkload::Builder b(path);
     b.add(0, 1, 100'000);
@@ -197,7 +205,7 @@ TEST(Workload, DiskTraceRoundTripDrivesElection) {
 TEST(Workload, UnfinishedTraceIsRejected) {
   // A Builder dropped without finish() must not replay as a silently empty
   // electorate: the reader rejects the unfinished-count sentinel.
-  std::string path = "/tmp/ddemos_workload_trace_unfinished.bin";
+  std::string path = temp_path("trace_unfinished.bin");
   {
     DiskTraceWorkload::Builder b(path);
     b.add(0, 0, 0);
@@ -210,7 +218,7 @@ TEST(Workload, MillionSlotConfigIsConstantSize) {
   // The acceptance bar for the streaming redesign: a 10^6-slot election is
   // configured without any O(V) vector in the driver config. The trace
   // lives on disk; the config holds a handle and streams lazily.
-  std::string path = "/tmp/ddemos_workload_trace_1m.bin";
+  std::string path = temp_path("trace_1m.bin");
   {
     DiskTraceWorkload::Builder b(path);
     for (std::size_t v = 0; v < 1'000'000; ++v) {
@@ -226,7 +234,7 @@ TEST(Workload, MillionSlotConfigIsConstantSize) {
   // VC a paged DiskBallotSource instead of the in-memory default.
   cfg.store_factory = [](const VcInit& init) {
     return std::make_shared<store::DiskBallotSource>(
-        "/tmp/ddemos_vc" + std::to_string(init.node_index) + ".ballots", 64);
+        temp_path("vc" + std::to_string(init.node_index) + ".ballots"), 64);
   };
   // The config itself is a fixed-size struct: no per-voter storage exists
   // anywhere in it (the old RunnerConfig carried std::vector votes).
